@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError
 from .geometry import Point, circle_angle_at_common_point, circumcircle
-from .interpolate import LuneAngleSet, SampleSet, WeightVector
+from .interpolate import LuneAngleSet, SampleSet, WeightVector, _blend
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -325,9 +325,9 @@ class Triangulation:
 
     def _virtual_cavity(self, s):
         p = Point(float(s[0]), float(s[1]))
-        for i, q in enumerate(self._pts):
-            if q.x == p.x and q.y == p.y:
-                raise CoincidentQueryError("query coincides with site %d" % i)
+        i = self._samples._index.get(p)
+        if i is not None:
+            raise CoincidentQueryError("query coincides with site %d" % i)
         t = self._locate(p)
         if self._verts[t][2] == GHOST:
             raise OutsideDomainError("query lies outside the site hull")
@@ -435,12 +435,10 @@ def build_delaunay(samples: SampleSet) -> Triangulation:
     return Triangulation(samples)
 
 
-def lune_angles_oracle(tri: Triangulation, s) -> LuneAngleSet:
-    return tri.lune_angles_oracle(s)
-
-
-def sibson_weights(tri: Triangulation, s) -> WeightVector:
-    return tri.sibson_weights(s)
+# The function spelling f(tri, ...) of the query methods.
+lune_angles_oracle = Triangulation.lune_angles_oracle
+sibson_weights = Triangulation.sibson_weights
+voronoi_cell_polygon = Triangulation.voronoi_cell_polygon
 
 
 def sibson_interpolate(tri: Triangulation, elevations, s):
@@ -448,11 +446,4 @@ def sibson_interpolate(tri: Triangulation, elevations, s):
     exactly up to roundoff."""
     if len(elevations) != len(tri.samples.sites):
         raise DegenerateInputError("one elevation per site required")
-    weights = tri.sibson_weights(s)
-    if any(isinstance(elevations[i], complex) for i, _ in weights.entries):
-        return sum(w * elevations[i] for i, w in weights.entries)
-    return math.fsum(w * elevations[i] for i, w in weights.entries)
-
-
-def voronoi_cell_polygon(tri: Triangulation, site_index: int) -> VoronoiCell:
-    return tri.voronoi_cell_polygon(site_index)
+    return _blend(tri.sibson_weights(s), elevations)

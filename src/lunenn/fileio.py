@@ -6,32 +6,24 @@ import math
 from dataclasses import dataclass
 
 from .delaunay import build_delaunay, sibson_interpolate
-from .errors import (
-    CoincidentQueryError,
-    CsvFormatError,
-    DegenerateBoundaryError,
-    DegenerateInputError,
-    OutsideDomainError,
-)
+from .errors import CsvFormatError, DegenerateBoundaryError, DegenerateInputError
 from .interpolate import (
     DEFAULT_SNAP_TOLERANCE,
     QueryKind,
     SampleSet,
     WeightFunction,
+    _blend,
     classify_query,
-    interpolate,
+    lune_angles,
+    weights_from_angles,
 )
 
 _REAL_HEADER = ("x", "y", "z")
 _COMPLEX_HEADER = ("x", "y", "z_re", "z_im")
 
-#: Errors a single grid cell may raise; the cell becomes an error marker.
-_CELL_ERRORS = (
-    OutsideDomainError,
-    DegenerateBoundaryError,
-    DegenerateInputError,
-    CoincidentQueryError,
-)
+#: Errors an interior grid cell may raise (the lune weights of a point on
+#: the segment between two sites); the cell becomes an error marker.
+_CELL_ERRORS = (DegenerateBoundaryError,)
 
 
 def load_samples_csv(path) -> SampleSet:
@@ -129,21 +121,19 @@ def evaluate_grid(
     for y in reversed(grid.ys()):
         row = []
         for x in grid.xs():
-            try:
-                if method == "moebius":
-                    value = interpolate(
-                        samples, (x, y), weight_fn, snap_tolerance=snap_tolerance
-                    )
-                else:
-                    cls = classify_query(samples, (x, y), snap_tolerance)
-                    if cls.kind is QueryKind.COINCIDENT:
-                        value = samples.elevations[cls.site_index]
-                    elif cls.kind is QueryKind.INTERIOR:
-                        value = sibson_interpolate(tri, samples.elevations, (x, y))
+            cls = classify_query(samples, (x, y), snap_tolerance)
+            value = None
+            if cls.kind is QueryKind.COINCIDENT:
+                value = samples.elevations[cls.site_index]
+            elif cls.kind is QueryKind.INTERIOR:
+                try:
+                    if tri is None:
+                        weights = weights_from_angles(lune_angles(samples, (x, y)), weight_fn)
+                        value = _blend(weights, samples.elevations)
                     else:
-                        value = None
-            except _CELL_ERRORS:
-                value = None
+                        value = sibson_interpolate(tri, samples.elevations, (x, y))
+                except _CELL_ERRORS:
+                    pass
             row.append(value)
         rows.append(row)
     return rows

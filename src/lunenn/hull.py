@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DegenerateInputError
 from .predicates import orientation_sign
@@ -16,14 +17,26 @@ class HullPolygon:
     being corners."""
 
     vertex_indices: tuple
-    on_edge_indices: tuple
+    points: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def on_edge_indices(self) -> tuple:
+        """Non-corner points on a hull edge; an O(n*h) scan run on first
+        read."""
+        pts, corners = self.points, self.vertex_indices
+        edges = [(pts[a], pts[b]) for a, b in zip(corners, corners[1:] + corners[:1])]
+        return tuple(
+            i
+            for i, p in enumerate(pts)
+            if i not in corners and any(orientation_sign(a, b, p) == 0 for a, b in edges)
+        )
 
 
 def convex_hull(points) -> HullPolygon:
     """Strict convex hull of at least three non-collinear distinct points.
 
     Collinear points interior to a hull edge are excluded from the corner
-    list and reported in on_edge_indices instead.
+    list; on_edge_indices reports them when read.
     """
     n = len(points)
     if n < 3:
@@ -45,19 +58,7 @@ def convex_hull(points) -> HullPolygon:
     corners = lower[:-1] + upper[:-1]
     if len(corners) < 3:
         raise DegenerateInputError("points are collinear")
-
-    corner_set = set(corners)
-    on_edge = []
-    for i in range(n):
-        if i in corner_set:
-            continue
-        for k in range(len(corners)):
-            a = points[corners[k]]
-            b = points[corners[(k + 1) % len(corners)]]
-            if orientation_sign(a, b, points[i]) == 0:
-                on_edge.append(i)
-                break
-    return HullPolygon(tuple(corners), tuple(on_edge))
+    return HullPolygon(tuple(corners), tuple(points))
 
 
 def turning_angles(points, hull: HullPolygon):

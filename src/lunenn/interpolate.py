@@ -51,13 +51,13 @@ class SampleSet:
             )
         if len(pts) < 3:
             raise DegenerateInputError("need at least three sites")
-        seen = {}
+        index = {}
         for i, p in enumerate(pts):
-            if (p.x, p.y) in seen:
+            if p in index:
                 raise DegenerateInputError(
-                    "sites %d and %d coincide at (%g, %g)" % (seen[(p.x, p.y)], i, p.x, p.y)
+                    "sites %d and %d coincide at (%g, %g)" % (index[p], i, p.x, p.y)
                 )
-            seen[(p.x, p.y)] = i
+            index[p] = i
         values = []
         any_complex = False
         for z in elevations:
@@ -72,6 +72,8 @@ class SampleSet:
                     raise DegenerateInputError("elevations must be finite")
                 values.append(z)
         self._sites = tuple(pts)
+        # Keyed by the stored Points; an (x, y) tuple finds the same entry.
+        self._index = index
         self._elevations = tuple(values)
         self._is_complex = any_complex
         # The site hull doubles as the collinearity check.
@@ -279,7 +281,11 @@ def interpolate(
         raise DegenerateBoundaryError("query lies on the sample hull boundary")
     if cls.kind is QueryKind.EXTERIOR and not allow_exterior:
         raise OutsideDomainError("query lies outside the sample hull")
-    weights = weights_from_angles(lune_angles(samples, s), weight_fn)
-    if samples.is_complex:
-        return sum(w * samples.elevations[i] for i, w in weights.entries)
-    return math.fsum(w * samples.elevations[i] for i, w in weights.entries)
+    return _blend(weights_from_angles(lune_angles(samples, s), weight_fn), samples.elevations)
+
+
+def _blend(weights: WeightVector, elevations):
+    """Weighted sum of the neighbor elevations: correctly rounded by
+    math.fsum for real values, plain sum once a neighbor is complex."""
+    terms = [w * elevations[i] for i, w in weights.entries]
+    return sum(terms) if any(isinstance(t, complex) for t in terms) else math.fsum(terms)

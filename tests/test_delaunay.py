@@ -201,6 +201,17 @@ def test_oracle_rejects_bad_queries():
         lune_angles_oracle(tri, (1, 0))
     with pytest.raises(CoincidentQueryError):
         lune_angles_oracle(tri, (1, 1))
+    for query in (lune_angles_oracle, sibson_weights):
+        with pytest.raises(CoincidentQueryError, match="site 2$"):
+            query(tri, (1.0, 1.0))
+    # A site inside the hull, index 4.
+    inner = build_delaunay(SampleSet(SQUARE_SITES + [(0.0, 0.25)], [1.0] * 5))
+    for query in (lune_angles_oracle, sibson_weights):
+        with pytest.raises(CoincidentQueryError, match="site 4$"):
+            query(inner, (-0.0, 0.25))
+        assert 4 in query(inner, (0.0, 0.251)).indices
+    assert abs(math.fsum(sibson_weights(inner, (0.0, 0.251)).weights) - 1.0) <= 1e-12
+    assert abs(lune_angles_oracle(inner, (0.0, 0.251)).total() - 2 * math.pi) <= 1e-9
 
 
 def test_oracle_agrees_with_inverted_hull():

@@ -10,9 +10,12 @@ from lunenn import (
     GridSpec,
     QueryKind,
     SampleSet,
+    build_delaunay,
     classify_query,
     evaluate_grid,
+    interpolate,
     load_samples_csv,
+    sibson_interpolate,
     write_pgm,
 )
 
@@ -134,10 +137,15 @@ def test_evaluate_grid_methods_agree_at_center():
     assert abs(b[2][2] - 25.0) <= 1e-12
 
 
-def test_evaluate_grid_exterior_cells_match_hull_test():
-    samples = _square_samples()
+@pytest.mark.parametrize("method", ["moebius", "sibson"])
+def test_evaluate_grid_exterior_cells_match_hull_test(method):
+    # The centre site sits on a grid node.
+    samples = SampleSet(
+        [(-1, -1), (1, -1), (1, 1), (-1, 1), (0.0, 0.0)], [10.0, 20.0, 30.0, 40.0, 7.0]
+    )
     spec = GridSpec(-2, 2, -2, 2, 9, 9)
-    rows = evaluate_grid(samples, spec)
+    rows = evaluate_grid(samples, spec, method=method)
+    tri = build_delaunay(samples)
     xs = spec.xs()
     ys = list(reversed(spec.ys()))
     for r, y in enumerate(ys):
@@ -145,8 +153,14 @@ def test_evaluate_grid_exterior_cells_match_hull_test():
             kind = classify_query(samples, (x, y)).kind
             if kind in (QueryKind.EXTERIOR, QueryKind.ON_BOUNDARY):
                 assert rows[r][c] is None
+            elif kind is QueryKind.COINCIDENT:
+                assert rows[r][c] == samples.elevations[classify_query(samples, (x, y)).site_index]
+            elif method == "moebius":
+                assert rows[r][c].hex() == interpolate(samples, (x, y)).hex()
             else:
-                assert rows[r][c] is not None
+                expected = sibson_interpolate(tri, samples.elevations, (x, y))
+                assert rows[r][c].hex() == expected.hex()
+    assert rows[4][4] == 7.0
 
 
 def test_evaluate_grid_bad_method():

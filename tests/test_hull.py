@@ -178,3 +178,30 @@ def test_collinear_run_on_hull_edge():
     assert sorted(hull.on_edge_indices) == [1, 2, 3]
     angles = turning_angles(pts, hull)
     assert abs(math.fsum(angles) - 2 * math.pi) <= 1e-12
+
+
+def test_on_edge_scan_runs_only_when_read(monkeypatch):
+    import lunenn.hull
+
+    rng = random.Random(97)
+    ring = [
+        Point(math.cos(2 * math.pi * k / 20), math.sin(2 * math.pi * k / 20))
+        for k in range(20)
+    ]
+    inner = [
+        Point(0.5 * math.cos(t), 0.5 * math.sin(t))
+        for t in (rng.uniform(0, 2 * math.pi) for _ in range(500))
+    ]
+    pts = ring + inner
+    calls = [0]
+
+    def counting(a, b, c):
+        calls[0] += 1
+        return orientation_sign(a, b, c)
+
+    monkeypatch.setattr(lunenn.hull, "orientation_sign", counting)
+    hull = convex_hull(pts)
+    # The monotone chain pops each point at most once per chain.
+    assert calls[0] <= 4 * len(pts)
+    assert sorted(hull.vertex_indices) == list(range(20))
+    assert hull.on_edge_indices == ()
