@@ -8,9 +8,10 @@ perturbation that treats lower-indexed sites as infinitesimally lifted,
 which makes the result independent of insertion order.
 
 Virtual insertion computes the cavity and fan a query point would create
-without mutating the mesh.  The circumcircles along each fan edge give an
-independent route to the lune angles, and the circumcenter polygons of
-the fan give Sibson's stolen-area weights.
+without mutating the mesh; it alone places a query (Triangulation.classify,
+which snaps to a site as classify_query does).  The circumcircles along
+each fan edge give an independent route to the lune angles, and the
+circumcenter polygons of the fan give Sibson's stolen-area weights.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError
 from .geometry import Point, circle_angle_at_common_point, circumcircle
-from .interpolate import LuneAngleSet, SampleSet, WeightVector, _blend
+from .interpolate import DEFAULT_SNAP_TOLERANCE, LuneAngleSet, QueryClass, QueryKind
+from .interpolate import SampleSet, WeightVector, _blend
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -83,7 +85,6 @@ class Triangulation:
         self._pts = list(samples.sites)
         self._verts = []
         self._nbrs = []
-        self._alive = []
         self._hint = 0
         self._build()
         self._finalize()
@@ -120,28 +121,26 @@ class Triangulation:
         if start is None:
             raise DegenerateInputError("all sites are collinear")
         a, b, c = start
-        t0 = self._new_triangle(a, b, c)
-        for u, v in ((a, b), (b, c), (c, a)):
-            self._new_triangle(v, u, GHOST)
         # Triangle ids: 0 finite, 1..3 ghosts for edges ab, bc, ca.
-        self._nbrs[t0] = [1, 2, 3]
-        self._nbrs[1] = [0, 3, 2]
-        self._nbrs[2] = [0, 1, 3]
-        self._nbrs[3] = [0, 2, 1]
+        self._new_triangle(a, b, c, [1, 2, 3])
+        self._new_triangle(b, a, GHOST, [0, 3, 2])
+        self._new_triangle(c, b, GHOST, [0, 1, 3])
+        self._new_triangle(a, c, GHOST, [0, 2, 1])
         for idx in range(2, n):
             if idx != start[1] and idx != start[2]:
                 self._insert(idx)
 
-    def _new_triangle(self, u, v, w):
-        # Keep any ghost vertex in slot 2.
+    def _new_triangle(self, u, v, w, nbrs):
+        # Keep any ghost vertex in slot 2; nbrs[e] lies across edge e and
+        # rotates with the vertices.
         if u == GHOST:
             u, v, w = v, w, u
+            nbrs = [nbrs[1], nbrs[2], nbrs[0]]
         elif v == GHOST:
             u, v, w = w, u, v
+            nbrs = [nbrs[2], nbrs[0], nbrs[1]]
         self._verts.append([u, v, w])
-        self._nbrs.append([None, None, None])
-        self._alive.append(True)
-        return len(self._verts) - 1
+        self._nbrs.append(nbrs)
 
     def _in_disk(self, t, p, pidx) -> bool:
         vs = self._verts[t]
@@ -162,16 +161,11 @@ class Triangulation:
         )
 
     def _locate(self, p):
-        """Walk toward p from the last-visited triangle; exhaustive scan
-        as a fallback.  Returns a finite triangle whose closed interior
-        holds p, or a ghost once the walk leaves the hull."""
+        """Walk toward p from the last-visited finite triangle; on a Delaunay
+        triangulation the walk terminates (Devillers, Pion & Teillaud 2002).
+        Returns a finite triangle whose closed interior holds p, or a ghost
+        once the walk leaves the hull."""
         t = self._hint
-        if not (0 <= t < len(self._verts)) or not self._alive[t] or self._verts[t][2] == GHOST:
-            t = next(
-                i
-                for i in range(len(self._verts))
-                if self._alive[i] and self._verts[i][2] != GHOST
-            )
         came_from = -1
         for _ in range(4 * len(self._verts) + 16):
             vs = self._verts[t]
@@ -191,29 +185,13 @@ class Triangulation:
             if not moved:
                 self._hint = t
                 return t
-        for t in range(len(self._verts)):
-            if not self._alive[t]:
-                continue
-            vs = self._verts[t]
-            if vs[2] == GHOST:
-                continue
-            if all(
-                orientation_sign(self._pts[vs[e]], self._pts[vs[(e + 1) % 3]], p) >= 0
-                for e in range(3)
-            ):
-                return t
-        for t in range(len(self._verts)):
-            if self._alive[t] and self._verts[t][2] == GHOST and self._in_disk(t, p, -2):
-                return t
-        raise AssertionError("point location failed")
+        raise AssertionError("point location did not terminate")
 
     def _cavity(self, seed, p, pidx):
+        # p is no vertex, so a finite seed holds it strictly inside its
+        # circumdisk and a ghost seed strictly beyond its hull edge.
         if not self._in_disk(seed, p, pidx):
-            seed = next(
-                t
-                for t in range(len(self._verts))
-                if self._alive[t] and self._in_disk(t, p, pidx)
-            )
+            raise AssertionError("located triangle does not hold the point")
         visited = {seed}
         cavity = {seed}
         stack = [seed]
@@ -257,34 +235,24 @@ class Triangulation:
         cavity = self._cavity(seed, p, idx)
         cycle = self._cavity_boundary(cavity)
         for t in cavity:
-            self._alive[t] = False
-        created = []
-        for u, v, outside, _ in cycle:
-            tid = self._new_triangle(u, v, idx)
-            created.append((tid, u, v, outside))
-        edge_slots = {}
-        for tid, _, _, _ in created:
-            vs = self._verts[tid]
-            for e in range(3):
-                edge_slots[(vs[e], vs[(e + 1) % 3])] = (tid, e)
-        for tid, u, v, outside in created:
-            t_in, e_in = edge_slots[(u, v)]
-            self._nbrs[t_in][e_in] = outside
+            self._verts[t] = self._nbrs[t] = None
+        # Fan triangle j = (u_j, v_j, idx) meets the outside across u_j v_j,
+        # fan triangle j+1 across v_j idx and fan triangle j-1 across idx u_j.
+        k = len(cycle)
+        fan = list(range(len(self._verts), len(self._verts) + k))
+        for j, (u, v, outside, _) in enumerate(cycle):
+            self._new_triangle(u, v, idx, [outside, fan[(j + 1) % k], fan[j - 1]])
             ovs = self._verts[outside]
             for e in range(3):
                 if ovs[e] == v and ovs[(e + 1) % 3] == u:
-                    self._nbrs[outside][e] = t_in
+                    self._nbrs[outside][e] = fan[j]
                     break
             else:
                 raise AssertionError("boundary neighbor back-link not found")
-        for (x, y), (tid, e) in edge_slots.items():
-            if self._nbrs[tid][e] is None:
-                partner = edge_slots[(y, x)]
-                self._nbrs[tid][e] = partner[0]
-        self._hint = next(tid for tid, _, _, _ in created if self._verts[tid][2] != GHOST)
+        self._hint = next(f for f, (u, v, _, _) in zip(fan, cycle) if GHOST not in (u, v))
 
     def _finalize(self):
-        keep = [t for t in range(len(self._verts)) if self._alive[t]]
+        keep = [t for t, vs in enumerate(self._verts) if vs is not None]
         rotated = {}
         for t in keep:
             vs = self._verts[t]
@@ -300,7 +268,6 @@ class Triangulation:
         remap = {t: i for i, t in enumerate(keep)}
         self._verts = [rotated[t][0] for t in keep]
         self._nbrs = [[remap[nb] for nb in rotated[t][1]] for t in keep]
-        self._alive = [True] * len(keep)
         self._finite_count = sum(1 for vs in self._verts if vs[2] != GHOST)
         self._hint = 0
         self._incident = {}
@@ -323,19 +290,50 @@ class Triangulation:
 
     # -- virtual insertion -------------------------------------------
 
-    def _virtual_cavity(self, s):
+    def _place(self, s, snap_tolerance):
+        """(QueryClass, point, cavity, cycle) of s from the walk and the
+        cavity of its virtual insertion; cavity and cycle are None for a
+        query exactly on a site."""
         p = Point(float(s[0]), float(s[1]))
         i = self._samples._index.get(p)
         if i is not None:
-            raise CoincidentQueryError("query coincides with site %d" % i)
+            return QueryClass(QueryKind.COINCIDENT, i), p, None, None
         t = self._locate(p)
-        if self._verts[t][2] == GHOST:
-            raise OutsideDomainError("query lies outside the site hull")
-        virtual = len(self._pts)
-        cavity = self._cavity(t, p, virtual)
-        if any(self._verts[t][2] == GHOST for t in cavity):
-            raise OutsideDomainError("query lies on or outside the site hull")
-        return p, cavity, self._cavity_boundary(cavity)
+        cavity = self._cavity(t, p, len(self._pts))
+        cycle = self._cavity_boundary(cavity)
+        # Every site q nearest to s borders the cavity: the circle on
+        # diameter sq holds no other site.
+        best = best_d2 = None
+        for u, _, _, _ in cycle:
+            if u != GHOST:
+                dx = self._pts[u].x - p.x
+                dy = self._pts[u].y - p.y
+                d2 = dx * dx + dy * dy
+                if best is None or d2 < best_d2 or (d2 == best_d2 and u < best):
+                    best, best_d2 = u, d2
+        if math.sqrt(best_d2) <= snap_tolerance * self._samples.diagonal:
+            cls = QueryClass(QueryKind.COINCIDENT, best)
+        elif self._verts[t][2] == GHOST:
+            cls = QueryClass(QueryKind.EXTERIOR)
+        elif any(self._verts[c][2] == GHOST for c in cavity):
+            cls = QueryClass(QueryKind.ON_BOUNDARY)
+        else:
+            cls = QueryClass(QueryKind.INTERIOR)
+        return cls, p, cavity, cycle
+
+    def classify(self, s, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> QueryClass:
+        """The answer of classify_query(samples, s, snap_tolerance), from
+        the walk and the virtual cavity instead of a scan over all sites."""
+        return self._place(s, snap_tolerance)[0]
+
+    def _virtual_cavity(self, s):
+        cls, p, cavity, cycle = self._place(s, DEFAULT_SNAP_TOLERANCE)
+        if cls.kind is QueryKind.COINCIDENT:
+            raise CoincidentQueryError("query coincides with site %d" % cls.site_index)
+        if cls.kind is not QueryKind.INTERIOR:
+            where = "outside" if cls.kind is QueryKind.EXTERIOR else "on or outside"
+            raise OutsideDomainError("query lies %s the site hull" % where)
+        return p, cavity, cycle
 
     def lune_angles_oracle(self, s) -> LuneAngleSet:
         """Lune angles by virtual insertion: for each neighbor, the angle

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .delaunay import build_delaunay, sibson_interpolate
 from .errors import CsvFormatError, DegenerateBoundaryError, DegenerateInputError
 from .interpolate import (
-    DEFAULT_SNAP_TOLERANCE,
     QueryKind,
     SampleSet,
     WeightFunction,
@@ -109,11 +108,11 @@ def evaluate_grid(
     grid: GridSpec,
     method: str = "moebius",
     weight_fn: WeightFunction = WeightFunction.TAN_HALF,
-    snap_tolerance: float = DEFAULT_SNAP_TOLERANCE,
 ):
     """Evaluate the interpolant on the grid nodes.  Rows run from y_max
     down to y_min (raster order); cells that cannot be evaluated under
-    the strict policy hold None."""
+    the strict policy hold None.  A node within DEFAULT_SNAP_TOLERANCE of
+    a site takes its elevation."""
     if method not in ("moebius", "sibson"):
         raise DegenerateInputError("method must be 'moebius' or 'sibson'")
     tri = build_delaunay(samples) if method == "sibson" else None
@@ -121,7 +120,7 @@ def evaluate_grid(
     for y in reversed(grid.ys()):
         row = []
         for x in grid.xs():
-            cls = classify_query(samples, (x, y), snap_tolerance)
+            cls = classify_query(samples, (x, y)) if tri is None else tri.classify((x, y))
             value = None
             if cls.kind is QueryKind.COINCIDENT:
                 value = samples.elevations[cls.site_index]

@@ -189,7 +189,9 @@ def classify_query(samples: SampleSet, s, snap_tolerance: float = DEFAULT_SNAP_T
     best = None
     best_d2 = None
     for i, p in enumerate(samples.sites):
-        d2 = (p.x - sx) ** 2 + (p.y - sy) ** 2
+        dx = p.x - sx
+        dy = p.y - sy
+        d2 = dx * dx + dy * dy
         if best_d2 is None or d2 < best_d2:
             best, best_d2 = i, d2
     if math.sqrt(best_d2) <= snap_tolerance * samples.diagonal:

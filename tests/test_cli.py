@@ -97,6 +97,14 @@ def test_usage_errors(square, capsys):
     assert main(["grid", "--samples", square, "--grid", "1,2,3", "--out", "x.pgm"]) == 1
 
 
+def test_eval_huge_sites_is_a_domain_error(tmp_path, capsys):
+    # Squared distances overflow to inf here; no OverflowError escapes.
+    path = tmp_path / "big.csv"
+    path.write_text("x,y,z\n1e200,0,1\n0,1e200,2\n-1e200,-1e200,3\n", encoding="utf-8")
+    assert main(["eval", "--samples", str(path), "--at", "1,1"]) == 2
+    assert "collinear" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "eval" in capsys.readouterr().out

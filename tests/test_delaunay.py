@@ -209,9 +209,50 @@ def test_oracle_rejects_bad_queries():
     for query in (lune_angles_oracle, sibson_weights):
         with pytest.raises(CoincidentQueryError, match="site 4$"):
             query(inner, (-0.0, 0.25))
+        # One ulp above the site: snapped, not a degenerate fan.
+        with pytest.raises(CoincidentQueryError, match="site 4$"):
+            query(inner, (0.0, 0.25000000000000006))
         assert 4 in query(inner, (0.0, 0.251)).indices
     assert abs(math.fsum(sibson_weights(inner, (0.0, 0.251)).weights) - 1.0) <= 1e-12
     assert abs(lune_angles_oracle(inner, (0.0, 0.251)).total() - 2 * math.pi) <= 1e-9
+
+
+def _classify_corpus():
+    rng = random.Random(241)
+    yield _random_samples(rng, n=25)
+    # An integer lattice (collinear hull sides), a half-integer lattice
+    # and a skinny set.
+    yield SampleSet([(float(x), float(y)) for x in range(4) for y in range(3)], [0.0] * 12)
+    yield SampleSet([(0.5 * x, 0.5 * y) for x in range(3) for y in range(4)], [0.0] * 12)
+    skinny = [(rng.uniform(0, 100), rng.uniform(0, 1e-3)) for _ in range(10)]
+    yield SampleSet(skinny, [0.0] * 10)
+
+
+def test_classify_matches_classify_query():
+    rng = random.Random(251)
+    for samples in _classify_corpus():
+        tri = build_delaunay(samples)
+        sites = samples.sites
+        xs = [p.x for p in sites]
+        ys = [p.y for p in sites]
+        w, h = max(xs) - min(xs), max(ys) - min(ys)
+        queries = [
+            (rng.uniform(min(xs) - w, max(xs) + w), rng.uniform(min(ys) - h, max(ys) + h))
+            for _ in range(60)
+        ]
+        corners = samples.hull.vertex_indices
+        for k, i in enumerate(corners):
+            a, b = sites[i], sites[corners[(k + 1) % len(corners)]]
+            # Midpoint, and extensions past either end of the hull edge.
+            for t in (0.5, -0.5, 1.5):
+                queries.append((a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+        for tol in (0.0, 1e-12, 0.3):
+            for p in sites:
+                for off in (0.0, 1e-16, 1e-12, 3e-12):
+                    q = (p.x + off, p.y - off)
+                    assert tri.classify(q, tol) == classify_query(samples, q, tol)
+            for q in queries:
+                assert tri.classify(q, tol) == classify_query(samples, q, tol)
 
 
 def test_oracle_agrees_with_inverted_hull():

@@ -163,6 +163,20 @@ def test_evaluate_grid_exterior_cells_match_hull_test(method):
     assert rows[4][4] == 7.0
 
 
+def test_evaluate_grid_sibson_places_cells_with_the_triangulation(monkeypatch):
+    samples = SampleSet(
+        [(-1, -1), (1, -1), (1, 1), (-1, 1), (0.0, 0.0)], [10.0, 20.0, 30.0, 40.0, 7.0]
+    )
+    spec = GridSpec(-2, 2, -2, 2, 9, 9)
+    expected = evaluate_grid(samples, spec, method="sibson")
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("classify_query called")
+
+    monkeypatch.setattr("lunenn.fileio.classify_query", no_scan)
+    assert evaluate_grid(samples, spec, method="sibson") == expected
+
+
 def test_evaluate_grid_bad_method():
     with pytest.raises(DegenerateInputError):
         evaluate_grid(_square_samples(), GridSpec(-1, 1, -1, 1, 2, 2), method="bogus")
