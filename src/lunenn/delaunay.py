@@ -9,9 +9,10 @@ which makes the result independent of insertion order.
 
 Virtual insertion computes the cavity and fan a query point would create
 without mutating the mesh; it alone places a query (Triangulation.classify,
-which snaps to a site as classify_query does).  The circumcircles along
-each fan edge give an independent route to the lune angles, and the
-circumcenter polygons of the fan give Sibson's stolen-area weights.
+which snaps to a site as classify_query does, up to rounding ties).  The
+circumcircles along each fan edge give an independent route to the lune
+angles, and the circumcenter polygons of the fan give Sibson's stolen-area
+weights.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError
 from .geometry import Point, circle_angle_at_common_point, circumcircle
 from .interpolate import DEFAULT_SNAP_TOLERANCE, LuneAngleSet, QueryClass, QueryKind
-from .interpolate import SampleSet, WeightVector, _blend
+from .interpolate import SampleSet, WeightVector, _blend, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -172,7 +173,6 @@ class Triangulation:
             if vs[2] == GHOST:
                 self._hint = self._nbrs[t][0]
                 return t
-            moved = False
             for e in range(3):
                 nb = self._nbrs[t][e]
                 if nb == came_from:
@@ -180,9 +180,8 @@ class Triangulation:
                 if orientation_sign(self._pts[vs[e]], self._pts[vs[(e + 1) % 3]], p) < 0:
                     came_from = t
                     t = nb
-                    moved = True
                     break
-            if not moved:
+            else:
                 self._hint = t
                 return t
         raise AssertionError("point location did not terminate")
@@ -301,17 +300,11 @@ class Triangulation:
         t = self._locate(p)
         cavity = self._cavity(t, p, len(self._pts))
         cycle = self._cavity_boundary(cavity)
-        # Every site q nearest to s borders the cavity: the circle on
-        # diameter sq holds no other site.
-        best = best_d2 = None
-        for u, _, _, _ in cycle:
-            if u != GHOST:
-                dx = self._pts[u].x - p.x
-                dy = self._pts[u].y - p.y
-                d2 = dx * dx + dy * dy
-                if best is None or d2 < best_d2 or (d2 == best_d2 and u < best):
-                    best, best_d2 = u, d2
-        if math.sqrt(best_d2) <= snap_tolerance * self._samples.diagonal:
+        # Every site nearest to p borders the cavity: the circle on
+        # diameter p-q holds no other site.
+        sites = (u for u, _, _, _ in cycle if u != GHOST)
+        best = _snap(self._samples, p.x, p.y, sites, snap_tolerance)
+        if best is not None:
             cls = QueryClass(QueryKind.COINCIDENT, best)
         elif self._verts[t][2] == GHOST:
             cls = QueryClass(QueryKind.EXTERIOR)
@@ -321,10 +314,11 @@ class Triangulation:
             cls = QueryClass(QueryKind.INTERIOR)
         return cls, p, cavity, cycle
 
-    def classify(self, s, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> QueryClass:
-        """The answer of classify_query(samples, s, snap_tolerance), from
-        the walk and the virtual cavity instead of a scan over all sites."""
-        return self._place(s, snap_tolerance)[0]
+    def classify(self, s) -> QueryClass:
+        """classify_query(samples, s) by the walk and the virtual cavity, not
+        a scan over all sites; the two agree unless rounding ties or reorders
+        the squared distances of sites almost equally far from s."""
+        return self._place(s, DEFAULT_SNAP_TOLERANCE)[0]
 
     def _virtual_cavity(self, s):
         cls, p, cavity, cycle = self._place(s, DEFAULT_SNAP_TOLERANCE)

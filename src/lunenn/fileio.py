@@ -111,8 +111,8 @@ def evaluate_grid(
 ):
     """Evaluate the interpolant on the grid nodes.  Rows run from y_max
     down to y_min (raster order); cells that cannot be evaluated under
-    the strict policy hold None.  A node within DEFAULT_SNAP_TOLERANCE of
-    a site takes its elevation."""
+    the strict policy hold None.  A node within DEFAULT_SNAP_TOLERANCE x
+    the sites' bounding-box diagonal of a site takes its elevation."""
     if method not in ("moebius", "sibson"):
         raise DegenerateInputError("method must be 'moebius' or 'sibson'")
     tri = build_delaunay(samples) if method == "sibson" else None

@@ -181,20 +181,26 @@ class WeightVector:
         return tuple(w for _, w in self.entries)
 
 
-def classify_query(samples: SampleSet, s, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> QueryClass:
-    """Snap to the nearest site within snap_tolerance * diagonal (ties to
-    the lowest index), otherwise place s exactly relative to the site
-    hull."""
-    sx, sy = float(s[0]), float(s[1])
-    best = None
-    best_d2 = None
-    for i, p in enumerate(samples.sites):
-        dx = p.x - sx
-        dy = p.y - sy
+def _snap(samples: SampleSet, sx: float, sy: float, candidates, snap_tolerance: float) -> Optional[int]:
+    """The candidate site nearest to (sx, sy), ties to the lowest index, if
+    it lies within snap_tolerance * diagonal; otherwise None."""
+    sites = samples.sites
+    best = best_d2 = None
+    for i in candidates:
+        dx = sites[i].x - sx
+        dy = sites[i].y - sy
         d2 = dx * dx + dy * dy
-        if best_d2 is None or d2 < best_d2:
+        if best_d2 is None or d2 < best_d2 or (d2 == best_d2 and i < best):
             best, best_d2 = i, d2
-    if math.sqrt(best_d2) <= snap_tolerance * samples.diagonal:
+    return best if math.sqrt(best_d2) <= snap_tolerance * samples.diagonal else None
+
+
+def classify_query(samples: SampleSet, s, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> QueryClass:
+    """Snap s to a site as _snap does over all sites, otherwise place s
+    exactly relative to the site hull."""
+    sx, sy = float(s[0]), float(s[1])
+    best = _snap(samples, sx, sy, range(len(samples.sites)), snap_tolerance)
+    if best is not None:
         return QueryClass(QueryKind.COINCIDENT, best)
     corners = samples.hull.vertex_indices
     on_line = False

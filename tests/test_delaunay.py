@@ -226,6 +226,11 @@ def _classify_corpus():
     yield SampleSet([(0.5 * x, 0.5 * y) for x in range(3) for y in range(4)], [0.0] * 12)
     skinny = [(rng.uniform(0, 100), rng.uniform(0, 1e-3)) for _ in range(10)]
     yield SampleSet(skinny, [0.0] * 10)
+    # A cluster of sites a few ulps apart, all within the default snap of
+    # one another; at unit scale their squared distances round exactly.
+    ulp = 2.0 ** -53
+    cluster = [(0.5 + a * ulp, 0.5 + b * ulp) for a, b in ((0, 0), (3, 1), (-2, 4), (1, -5), (7, 7))]
+    yield SampleSet(SQUARE_SITES + cluster, [0.0] * 9)
 
 
 def test_classify_matches_classify_query():
@@ -246,13 +251,16 @@ def test_classify_matches_classify_query():
             # Midpoint, and extensions past either end of the hull edge.
             for t in (0.5, -0.5, 1.5):
                 queries.append((a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-        for tol in (0.0, 1e-12, 0.3):
-            for p in sites:
-                for off in (0.0, 1e-16, 1e-12, 3e-12):
-                    q = (p.x + off, p.y - off)
-                    assert tri.classify(q, tol) == classify_query(samples, q, tol)
-            for q in queries:
-                assert tri.classify(q, tol) == classify_query(samples, q, tol)
+        for p in sites:
+            for off in (0.0, 1e-16, 1e-12, 3e-12):
+                q = (p.x + off, p.y - off)
+                queries.append(q)
+                queries.extend((q[0] + a * 1.1e-16, q[1] + b * 1.1e-16) for a, b in ((1, 2), (-3, 1)))
+        for q in queries:
+            assert tri.classify(q) == classify_query(samples, q)
+            # The snap over the cavity cycle at other tolerances.
+            for tol in (0.0, 0.3):
+                assert tri._place(q, tol)[0] == classify_query(samples, q, tol)
 
 
 def test_oracle_agrees_with_inverted_hull():
