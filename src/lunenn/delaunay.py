@@ -24,7 +24,7 @@ from typing import Optional
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError
 from .geometry import Point, circle_angle_at_common_point, circumcircle
 from .interpolate import DEFAULT_SNAP_TOLERANCE, LuneAngleSet, QueryClass, QueryKind
-from .interpolate import SampleSet, WeightVector, _blend, _snap
+from .interpolate import SampleSet, WeightVector, _blend, _query_point, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -293,7 +293,7 @@ class Triangulation:
         """(QueryClass, point, cavity, cycle) of s from the walk and the
         cavity of its virtual insertion; cavity and cycle are None for a
         query exactly on a site."""
-        p = Point(float(s[0]), float(s[1]))
+        p = _query_point(s)
         i = self._samples._index.get(p)
         if i is not None:
             return QueryClass(QueryKind.COINCIDENT, i), p, None, None
@@ -323,7 +323,7 @@ class Triangulation:
     def _virtual_cavity(self, s):
         cls, p, cavity, cycle = self._place(s, DEFAULT_SNAP_TOLERANCE)
         if cls.kind is QueryKind.COINCIDENT:
-            raise CoincidentQueryError("query coincides with site %d" % cls.site_index)
+            raise CoincidentQueryError("query coincides with site %d" % cls.site_index, cls.site_index)
         if cls.kind is not QueryKind.INTERIOR:
             where = "outside" if cls.kind is QueryKind.EXTERIOR else "on or outside"
             raise OutsideDomainError("query lies %s the site hull" % where)
@@ -435,7 +435,12 @@ voronoi_cell_polygon = Triangulation.voronoi_cell_polygon
 
 def sibson_interpolate(tri: Triangulation, elevations, s):
     """Blend elevations with Sibson weights; reproduces affine data
-    exactly up to roundoff."""
+    exactly up to roundoff.  A query that snaps to a site returns that
+    site's elevation, as interpolate does."""
     if len(elevations) != len(tri.samples.sites):
         raise DegenerateInputError("one elevation per site required")
-    return _blend(tri.sibson_weights(s), elevations)
+    try:
+        weights = tri.sibson_weights(s)
+    except CoincidentQueryError as exc:
+        return elevations[exc.site_index]
+    return _blend(weights, elevations)

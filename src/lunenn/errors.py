@@ -14,7 +14,11 @@ class OutsideDomainError(ValueError):
 
 
 class CoincidentQueryError(ValueError):
-    """Query coincides exactly with a sample site."""
+    """Query coincides with a sample site; carries the site's index."""
+
+    def __init__(self, message, site_index=None):
+        super().__init__(message)
+        self.site_index = site_index
 
 
 class PreconditionError(ValueError):

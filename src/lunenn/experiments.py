@@ -107,7 +107,9 @@ def experiment_invariance(seed: int, trials: int = 50) -> ExperimentReport:
     """Per trial: a random 20-site set in [-1, 1]^2, a random interior
     query, and a random map whose pole clears every site and the query by
     0.1.  Passes when every trial stays within 1e-8 on both
-    the interpolant deviation and the angle mismatch."""
+    the interpolant deviation and the angle mismatch; needs trials >= 1."""
+    if trials < 1:
+        raise PreconditionError("need at least one trial, got %d" % trials)
     rows = []
     for trial in range(trials):
         rng = random.Random(1_000_003 * seed + trial)

@@ -6,23 +6,15 @@ import math
 from dataclasses import dataclass
 
 from .delaunay import build_delaunay, sibson_interpolate
-from .errors import CsvFormatError, DegenerateBoundaryError, DegenerateInputError
-from .interpolate import (
-    QueryKind,
-    SampleSet,
-    WeightFunction,
-    _blend,
-    classify_query,
-    lune_angles,
-    weights_from_angles,
-)
+from .errors import CsvFormatError, DegenerateBoundaryError, DegenerateInputError, OutsideDomainError
+from .interpolate import SampleSet, WeightFunction, interpolate
 
 _REAL_HEADER = ("x", "y", "z")
 _COMPLEX_HEADER = ("x", "y", "z_re", "z_im")
 
-#: Errors an interior grid cell may raise (the lune weights of a point on
-#: the segment between two sites); the cell becomes an error marker.
-_CELL_ERRORS = (DegenerateBoundaryError,)
+#: Errors that make a grid cell None: a node outside or on the site hull,
+#: or on the segment between two sites.
+_CELL_ERRORS = (OutsideDomainError, DegenerateBoundaryError)
 
 
 def load_samples_csv(path) -> SampleSet:
@@ -109,10 +101,12 @@ def evaluate_grid(
     method: str = "moebius",
     weight_fn: WeightFunction = WeightFunction.TAN_HALF,
 ):
-    """Evaluate the interpolant on the grid nodes.  Rows run from y_max
-    down to y_min (raster order); cells that cannot be evaluated under
-    the strict policy hold None.  A node within DEFAULT_SNAP_TOLERANCE x
-    the sites' bounding-box diagonal of a site takes its elevation."""
+    """Evaluate the interpolant on the grid nodes, rows from y_max down to
+    y_min (raster order).  A cell holds interpolate(samples, q, weight_fn)
+    for "moebius", or sibson_interpolate for "sibson" (weight_fn has no
+    effect there), so a node that snaps to a site takes its elevation; it
+    holds None where that call raises OutsideDomainError or
+    DegenerateBoundaryError."""
     if method not in ("moebius", "sibson"):
         raise DegenerateInputError("method must be 'moebius' or 'sibson'")
     tri = build_delaunay(samples) if method == "sibson" else None
@@ -120,20 +114,13 @@ def evaluate_grid(
     for y in reversed(grid.ys()):
         row = []
         for x in grid.xs():
-            cls = classify_query(samples, (x, y)) if tri is None else tri.classify((x, y))
-            value = None
-            if cls.kind is QueryKind.COINCIDENT:
-                value = samples.elevations[cls.site_index]
-            elif cls.kind is QueryKind.INTERIOR:
-                try:
-                    if tri is None:
-                        weights = weights_from_angles(lune_angles(samples, (x, y)), weight_fn)
-                        value = _blend(weights, samples.elevations)
-                    else:
-                        value = sibson_interpolate(tri, samples.elevations, (x, y))
-                except _CELL_ERRORS:
-                    pass
-            row.append(value)
+            try:
+                if tri is None:
+                    row.append(interpolate(samples, (x, y), weight_fn))
+                else:
+                    row.append(sibson_interpolate(tri, samples.elevations, (x, y)))
+            except _CELL_ERRORS:
+                row.append(None)
         rows.append(row)
     return rows
 

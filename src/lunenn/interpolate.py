@@ -181,6 +181,14 @@ class WeightVector:
         return tuple(w for _, w in self.entries)
 
 
+def _query_point(s) -> Point:
+    """s as a Point of floats; non-finite coordinates are rejected."""
+    p = Point(float(s[0]), float(s[1]))
+    if not (math.isfinite(p.x) and math.isfinite(p.y)):
+        raise DegenerateInputError("query coordinates must be finite")
+    return p
+
+
 def _snap(samples: SampleSet, sx: float, sy: float, candidates, snap_tolerance: float) -> Optional[int]:
     """The candidate site nearest to (sx, sy), ties to the lowest index, if
     it lies within snap_tolerance * diagonal; otherwise None."""
@@ -198,8 +206,8 @@ def _snap(samples: SampleSet, sx: float, sy: float, candidates, snap_tolerance: 
 def classify_query(samples: SampleSet, s, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> QueryClass:
     """Snap s to a site as _snap does over all sites, otherwise place s
     exactly relative to the site hull."""
-    sx, sy = float(s[0]), float(s[1])
-    best = _snap(samples, sx, sy, range(len(samples.sites)), snap_tolerance)
+    p = _query_point(s)
+    best = _snap(samples, p.x, p.y, range(len(samples.sites)), snap_tolerance)
     if best is not None:
         return QueryClass(QueryKind.COINCIDENT, best)
     corners = samples.hull.vertex_indices
@@ -207,7 +215,7 @@ def classify_query(samples: SampleSet, s, snap_tolerance: float = DEFAULT_SNAP_T
     for k in range(len(corners)):
         a = samples.sites[corners[k]]
         b = samples.sites[corners[(k + 1) % len(corners)]]
-        side = orientation_sign(a, b, (sx, sy))
+        side = orientation_sign(a, b, p)
         if side < 0:
             return QueryClass(QueryKind.EXTERIOR)
         if side == 0:
@@ -218,14 +226,14 @@ def classify_query(samples: SampleSet, s, snap_tolerance: float = DEFAULT_SNAP_T
 
 
 def _inverted_images(samples: SampleSet, s):
-    sx, sy = float(s[0]), float(s[1])
+    sx, sy = _query_point(s)
     images = []
     for i, p in enumerate(samples.sites):
         dx = p.x - sx
         dy = p.y - sy
         d2 = dx * dx + dy * dy
         if d2 == 0.0:
-            raise CoincidentQueryError("query coincides with site %d" % i)
+            raise CoincidentQueryError("query coincides with site %d" % i, i)
         images.append(Point(dx / d2, dy / d2))
     return images
 

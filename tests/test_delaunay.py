@@ -20,6 +20,7 @@ from lunenn import (
     build_delaunay,
     classify_query,
     convex_hull,
+    interpolate,
     lune_angles,
     lune_angles_oracle,
     orientation_sign,
@@ -202,16 +203,23 @@ def test_oracle_rejects_bad_queries():
     with pytest.raises(CoincidentQueryError):
         lune_angles_oracle(tri, (1, 1))
     for query in (lune_angles_oracle, sibson_weights):
-        with pytest.raises(CoincidentQueryError, match="site 2$"):
+        with pytest.raises(CoincidentQueryError, match="site 2$") as err:
             query(tri, (1.0, 1.0))
+        assert err.value.site_index == 2
     # A site inside the hull, index 4.
-    inner = build_delaunay(SampleSet(SQUARE_SITES + [(0.0, 0.25)], [1.0] * 5))
+    samples = SampleSet(SQUARE_SITES + [(0.0, 0.25)], [1.0, 2.0, 3.0, 4.0, 0.1])
+    inner = build_delaunay(samples)
+    # The exact site, -0.0 against its 0.0, and one ulp above it (snapped,
+    # not a degenerate fan): the weights raise, the interpolants agree on
+    # the site's value.
+    for q in ((0.0, 0.25), (-0.0, 0.25), (0.0, 0.25000000000000006)):
+        for query in (lune_angles_oracle, sibson_weights):
+            with pytest.raises(CoincidentQueryError, match="site 4$") as err:
+                query(inner, q)
+            assert err.value.site_index == 4
+        value = sibson_interpolate(inner, samples.elevations, q)
+        assert value.hex() == (0.1).hex() == interpolate(samples, q).hex()
     for query in (lune_angles_oracle, sibson_weights):
-        with pytest.raises(CoincidentQueryError, match="site 4$"):
-            query(inner, (-0.0, 0.25))
-        # One ulp above the site: snapped, not a degenerate fan.
-        with pytest.raises(CoincidentQueryError, match="site 4$"):
-            query(inner, (0.0, 0.25000000000000006))
         assert 4 in query(inner, (0.0, 0.251)).indices
     assert abs(math.fsum(sibson_weights(inner, (0.0, 0.251)).weights) - 1.0) <= 1e-12
     assert abs(lune_angles_oracle(inner, (0.0, 0.251)).total() - 2 * math.pi) <= 1e-9

@@ -10,6 +10,7 @@ from lunenn import (
     IDENTITY,
     OutsideDomainError,
     Point,
+    PreconditionError,
     SampleSet,
     circle_samples,
     experiment_harmonic,
@@ -73,6 +74,13 @@ def test_experiment_invariance_report():
     assert report.passed
     again = experiment_invariance(seed=7, trials=5)
     assert again.rows == report.rows
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_experiment_invariance_needs_a_trial(trials):
+    # No trial is no evidence: the report must not pass vacuously.
+    with pytest.raises(PreconditionError, match="at least one trial"):
+        experiment_invariance(seed=1, trials=trials)
 
 
 def test_experiment_harmonic_passes():

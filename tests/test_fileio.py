@@ -1,6 +1,7 @@
 """CSV ingestion, grid evaluation, and PGM output."""
 
 import math
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from lunenn import (
     GridSpec,
     QueryKind,
     SampleSet,
+    Triangulation,
     build_delaunay,
     classify_query,
     evaluate_grid,
@@ -173,8 +175,26 @@ def test_evaluate_grid_sibson_places_cells_with_the_triangulation(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("classify_query called")
 
-    monkeypatch.setattr("lunenn.fileio.classify_query", no_scan)
+    # lunenn.interpolate names the function; patch the module's binding.
+    monkeypatch.setattr(sys.modules["lunenn.interpolate"], "classify_query", no_scan)
     assert evaluate_grid(samples, spec, method="sibson") == expected
+
+
+def test_evaluate_grid_sibson_places_each_cell_once(monkeypatch):
+    samples = SampleSet(
+        [(-1, -1), (1, -1), (1, 1), (-1, 1), (0.0, 0.0)], [10.0, 20.0, 30.0, 40.0, 7.0]
+    )
+    spec = GridSpec(-2, 2, -2, 2, 9, 9)
+    calls = []
+    place = Triangulation._place
+
+    def counted(self, *args):
+        calls.append(args)
+        return place(self, *args)
+
+    monkeypatch.setattr(Triangulation, "_place", counted)
+    evaluate_grid(samples, spec, method="sibson")
+    assert len(calls) == spec.nx * spec.ny
 
 
 def test_evaluate_grid_bad_method():

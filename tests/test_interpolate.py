@@ -17,21 +17,28 @@ from lunenn import (
     CoincidentQueryError,
     DegenerateBoundaryError,
     DegenerateInputError,
+    GridSpec,
     LuneAngleSet,
     OutsideDomainError,
     Point,
     QueryKind,
     SampleSet,
     WeightFunction,
+    build_delaunay,
     classify_query,
+    evaluate_grid,
     extended_neighbors,
     interpolate,
     lune_angles,
+    lune_angles_oracle,
     moebius_apply,
     moebius_from_inversion,
     random_moebius,
+    sibson_interpolate,
+    sibson_weights,
     weights_from_angles,
 )
+from lunenn.cli import main
 
 SQUARE_SITES = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
 SQUARE_Z = [10.0, 20.0, 30.0, 40.0]
@@ -167,8 +174,9 @@ def test_lune_angle_sum_random():
 
 
 def test_lune_angles_coincident_query():
-    with pytest.raises(CoincidentQueryError):
+    with pytest.raises(CoincidentQueryError) as err:
         lune_angles(_square(), (1.0, 1.0))
+    assert err.value.site_index == 2
 
 
 # ----------------------------------------------------------------- weights
@@ -243,6 +251,42 @@ def test_exterior_policy():
         interpolate(_square(), (5, 5))
     value = interpolate(_square(), (5, 5), allow_exterior=True)
     assert math.isfinite(value)
+
+
+_NAN, _INF = math.nan, math.inf
+
+#: Each entry point fed a query with a non-finite coordinate.
+_NON_FINITE_CALLS = {
+    "interpolate": lambda sq: interpolate(sq, (_NAN, 0.0)),
+    "interpolate-exterior": lambda sq: interpolate(sq, (_INF, 0.0), allow_exterior=True),
+    "classify_query": lambda sq: classify_query(sq, (0.0, _INF)),
+    "lune_angles": lambda sq: lune_angles(sq, (-_INF, 0.0)),
+    "extended_neighbors": lambda sq: extended_neighbors(sq, (0.0, _NAN)),
+    "sibson_interpolate": lambda sq: sibson_interpolate(build_delaunay(sq), sq.elevations, (_NAN, 0.0)),
+    "sibson_weights": lambda sq: sibson_weights(build_delaunay(sq), (0.0, -_INF)),
+    "lune_angles_oracle": lambda sq: lune_angles_oracle(build_delaunay(sq), (_INF, _INF)),
+    "Triangulation.classify": lambda sq: build_delaunay(sq).classify((_NAN, _NAN)),
+    "evaluate_grid": lambda sq: evaluate_grid(sq, GridSpec(-_INF, _INF, -1, 1, 4, 4)),
+}
+
+
+@pytest.mark.parametrize(
+    "entry", sorted(_NON_FINITE_CALLS) + ["cli-eval", "cli-weights", "cli-grid"]
+)
+def test_non_finite_query_is_a_domain_error(entry, tmp_path, capsys):
+    if entry in _NON_FINITE_CALLS:
+        with pytest.raises(DegenerateInputError, match="query coordinates must be finite"):
+            _NON_FINITE_CALLS[entry](_square())
+        return
+    path = tmp_path / "square.csv"
+    path.write_text("x,y,z\n-1,-1,10\n1,-1,20\n1,1,30\n-1,1,40\n", encoding="utf-8")
+    argv = {
+        "cli-eval": ["eval", "--at=nan,0"],
+        "cli-weights": ["weights", "--at=0,inf"],
+        "cli-grid": ["grid", "--grid=-inf,inf,-1,1,4,4", "--out", str(tmp_path / "g.pgm")],
+    }[entry]
+    assert main(argv + ["--samples", str(path)]) == 2
+    assert capsys.readouterr().err == "error: query coordinates must be finite\n"
 
 
 def test_convex_combination_bounds():
