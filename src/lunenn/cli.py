@@ -81,12 +81,9 @@ def _parse_grid(text):
 
 def _parse_sizes(text):
     try:
-        sizes = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated ints") from None
-    if not sizes:
-        raise argparse.ArgumentTypeError("need at least one size")
-    return sizes
 
 
 def _build_parser():

@@ -8,8 +8,8 @@ perturbation that treats lower-indexed sites as infinitesimally lifted,
 which makes the result independent of insertion order.
 
 Virtual insertion computes the cavity and fan a query point would create
-without mutating the mesh; it alone places a query (Triangulation.classify,
-which snaps to a site as classify_query does, up to rounding ties).  The
+without mutating the mesh, and alone places a query: the walk finds it, and
+the sites on the cavity cycle hold the nearest one for the snap.  The
 circumcircles along each fan edge give an independent route to the lune
 angles, and the circumcenter polygons of the fan give Sibson's stolen-area
 weights.
@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError
 from .geometry import Point, circle_angle_at_common_point, circumcircle
-from .interpolate import DEFAULT_SNAP_TOLERANCE, LuneAngleSet, QueryClass, QueryKind
+from .interpolate import LuneAngleSet, QueryClass, QueryKind
 from .interpolate import SampleSet, WeightVector, _blend, _query_point, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
@@ -289,10 +289,12 @@ class Triangulation:
 
     # -- virtual insertion -------------------------------------------
 
-    def _place(self, s, snap_tolerance):
+    def _place(self, s):
         """(QueryClass, point, cavity, cycle) of s from the walk and the
         cavity of its virtual insertion; cavity and cycle are None for a
-        query exactly on a site."""
+        query exactly on a site.  The class is classify_query's unless
+        rounding ties or reorders the squared distances of sites almost
+        equally far from s."""
         p = _query_point(s)
         i = self._samples._index.get(p)
         if i is not None:
@@ -303,7 +305,7 @@ class Triangulation:
         # Every site nearest to p borders the cavity: the circle on
         # diameter p-q holds no other site.
         sites = (u for u, _, _, _ in cycle if u != GHOST)
-        best = _snap(self._samples, p.x, p.y, sites, snap_tolerance)
+        best = _snap(self._samples, p.x, p.y, sites)
         if best is not None:
             cls = QueryClass(QueryKind.COINCIDENT, best)
         elif self._verts[t][2] == GHOST:
@@ -314,14 +316,8 @@ class Triangulation:
             cls = QueryClass(QueryKind.INTERIOR)
         return cls, p, cavity, cycle
 
-    def classify(self, s) -> QueryClass:
-        """classify_query(samples, s) by the walk and the virtual cavity, not
-        a scan over all sites; the two agree unless rounding ties or reorders
-        the squared distances of sites almost equally far from s."""
-        return self._place(s, DEFAULT_SNAP_TOLERANCE)[0]
-
     def _virtual_cavity(self, s):
-        cls, p, cavity, cycle = self._place(s, DEFAULT_SNAP_TOLERANCE)
+        cls, p, cavity, cycle = self._place(s)
         if cls.kind is QueryKind.COINCIDENT:
             raise CoincidentQueryError("query coincides with site %d" % cls.site_index, cls.site_index)
         if cls.kind is not QueryKind.INTERIOR:

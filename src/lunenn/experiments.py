@@ -153,7 +153,9 @@ def experiment_harmonic(
     """Errors of the interpolant and of the normalized angle-weighted sum
     (1/2pi) * sum theta_i * f(s_i) against the true harmonic value, for
     circle sample counts in sizes.  Passes when both error columns are
-    strictly decreasing and end at or below 1e-3."""
+    strictly decreasing and end at or below 1e-3; needs two sizes or more."""
+    if len(sizes) < 2:
+        raise PreconditionError("need at least two sizes, got %d" % len(sizes))
     if function_id not in HARMONIC_FUNCTIONS:
         raise PreconditionError("unknown function %r" % function_id)
     f = HARMONIC_FUNCTIONS[function_id]

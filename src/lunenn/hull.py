@@ -3,41 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import DegenerateInputError
 from .predicates import orientation_sign
 
 
-@dataclass(frozen=True)
-class HullPolygon:
-    """Hull corners in CCW order starting at the lexicographically smallest
-    point, plus the indices of input points lying on hull edges without
-    being corners."""
-
-    vertex_indices: tuple
-    points: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def on_edge_indices(self) -> tuple:
-        """Non-corner points on a hull edge; an O(n*h) scan run on first
-        read."""
-        pts, corners = self.points, self.vertex_indices
-        edges = [(pts[a], pts[b]) for a, b in zip(corners, corners[1:] + corners[:1])]
-        return tuple(
-            i
-            for i, p in enumerate(pts)
-            if i not in corners and any(orientation_sign(a, b, p) == 0 for a, b in edges)
-        )
-
-
-def convex_hull(points) -> HullPolygon:
-    """Strict convex hull of at least three non-collinear distinct points.
-
-    Collinear points interior to a hull edge are excluded from the corner
-    list; on_edge_indices reports them when read.
-    """
+def convex_hull(points) -> tuple:
+    """Corner indices of the strict convex hull of at least three
+    non-collinear distinct points, CCW from the lexicographically
+    smallest point.  Points interior to a hull edge are not corners."""
     n = len(points)
     if n < 3:
         raise DegenerateInputError("convex hull needs at least three points")
@@ -58,13 +32,13 @@ def convex_hull(points) -> HullPolygon:
     corners = lower[:-1] + upper[:-1]
     if len(corners) < 3:
         raise DegenerateInputError("points are collinear")
-    return HullPolygon(tuple(corners), tuple(points))
+    return tuple(corners)
 
 
-def turning_angles(points, hull: HullPolygon):
-    """Exterior direction-change angle at each hull corner, each in
-    (0, pi); over any convex polygon they sum to 2*pi."""
-    corners = hull.vertex_indices
+def turning_angles(points, corners):
+    """Exterior direction-change angle at each of the hull corners (as
+    convex_hull returns them), each in (0, pi); over any convex polygon
+    they sum to 2*pi."""
     k = len(corners)
     angles = []
     for i in range(k):

@@ -23,10 +23,10 @@ from .errors import (
     OutsideDomainError,
 )
 from .geometry import Point
-from .hull import HullPolygon, convex_hull, turning_angles
+from .hull import convex_hull, turning_angles
 from .predicates import orientation_sign
 
-#: Default coincidence snap, as a fraction of the sample bounding-box diagonal.
+#: Coincidence snap radius, as a fraction of the sample bounding-box diagonal.
 DEFAULT_SNAP_TOLERANCE = 1e-12
 
 #: Half-width of the window around pi in which a single divergent-weight
@@ -34,17 +34,28 @@ DEFAULT_SNAP_TOLERANCE = 1e-12
 _PI_WINDOW = 1e-12
 
 
+def _finite(value, message) -> float:
+    """float(value), raising DegenerateInputError(message) unless it is
+    finite; an int too large for a float counts as infinite."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DegenerateInputError(message)
+    return x
+
+
+def _finite_point(p, message) -> Point:
+    return Point(_finite(p[0], message), _finite(p[1], message))
+
+
 class SampleSet:
     """Immutable collection of pairwise-distinct sample sites, not all
     collinear, with one real or complex elevation per site."""
 
     def __init__(self, sites, elevations):
-        pts = []
-        for site in sites:
-            p = Point(float(site[0]), float(site[1]))
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise DegenerateInputError("site coordinates must be finite")
-            pts.append(p)
+        pts = [_finite_point(site, "site coordinates must be finite") for site in sites]
         if len(pts) != len(elevations):
             raise DegenerateInputError(
                 "%d sites but %d elevations" % (len(pts), len(elevations))
@@ -58,24 +69,15 @@ class SampleSet:
                     "sites %d and %d coincide at (%g, %g)" % (index[p], i, p.x, p.y)
                 )
             index[p] = i
-        values = []
-        any_complex = False
-        for z in elevations:
-            if isinstance(z, complex):
-                if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                    raise DegenerateInputError("elevations must be finite")
-                values.append(z)
-                any_complex = True
-            else:
-                z = float(z)
-                if not math.isfinite(z):
-                    raise DegenerateInputError("elevations must be finite")
-                values.append(z)
+        message = "elevations must be finite"
+        self._elevations = tuple(
+            complex(_finite(z.real, message), _finite(z.imag, message)) if isinstance(z, complex)
+            else _finite(z, message)
+            for z in elevations
+        )
         self._sites = tuple(pts)
         # Keyed by the stored Points; an (x, y) tuple finds the same entry.
         self._index = index
-        self._elevations = tuple(values)
-        self._is_complex = any_complex
         # The site hull doubles as the collinearity check.
         self._hull = convex_hull(self._sites)
         xs = [p.x for p in pts]
@@ -95,16 +97,13 @@ class SampleSet:
         return len(self._sites)
 
     @property
-    def hull(self) -> HullPolygon:
+    def hull(self) -> tuple:
+        """Indices of the site hull corners, as convex_hull returns them."""
         return self._hull
 
     @property
     def diagonal(self) -> float:
         return self._diagonal
-
-    @property
-    def is_complex(self) -> bool:
-        return self._is_complex
 
 
 class WeightFunction(Enum):
@@ -182,16 +181,13 @@ class WeightVector:
 
 
 def _query_point(s) -> Point:
-    """s as a Point of floats; non-finite coordinates are rejected."""
-    p = Point(float(s[0]), float(s[1]))
-    if not (math.isfinite(p.x) and math.isfinite(p.y)):
-        raise DegenerateInputError("query coordinates must be finite")
-    return p
+    """s as a Point of finite floats."""
+    return _finite_point(s, "query coordinates must be finite")
 
 
-def _snap(samples: SampleSet, sx: float, sy: float, candidates, snap_tolerance: float) -> Optional[int]:
+def _snap(samples: SampleSet, sx: float, sy: float, candidates) -> Optional[int]:
     """The candidate site nearest to (sx, sy), ties to the lowest index, if
-    it lies within snap_tolerance * diagonal; otherwise None."""
+    it lies within DEFAULT_SNAP_TOLERANCE * diagonal; otherwise None."""
     sites = samples.sites
     best = best_d2 = None
     for i in candidates:
@@ -200,17 +196,17 @@ def _snap(samples: SampleSet, sx: float, sy: float, candidates, snap_tolerance: 
         d2 = dx * dx + dy * dy
         if best_d2 is None or d2 < best_d2 or (d2 == best_d2 and i < best):
             best, best_d2 = i, d2
-    return best if math.sqrt(best_d2) <= snap_tolerance * samples.diagonal else None
+    return best if math.sqrt(best_d2) <= DEFAULT_SNAP_TOLERANCE * samples.diagonal else None
 
 
-def classify_query(samples: SampleSet, s, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> QueryClass:
+def classify_query(samples: SampleSet, s) -> QueryClass:
     """Snap s to a site as _snap does over all sites, otherwise place s
     exactly relative to the site hull."""
     p = _query_point(s)
-    best = _snap(samples, p.x, p.y, range(len(samples.sites)), snap_tolerance)
+    best = _snap(samples, p.x, p.y, range(len(samples.sites)))
     if best is not None:
         return QueryClass(QueryKind.COINCIDENT, best)
-    corners = samples.hull.vertex_indices
+    corners = samples.hull
     on_line = False
     for k in range(len(corners)):
         a = samples.sites[corners[k]]
@@ -244,19 +240,8 @@ def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
     turning angles.  Sites whose image falls strictly inside the hull,
     or on a hull edge (angle zero), are omitted."""
     images = _inverted_images(samples, s)
-    hull = convex_hull(images)
-    angles = turning_angles(images, hull)
-    entries = sorted(zip(hull.vertex_indices, angles))
-    return LuneAngleSet(tuple(entries))
-
-
-def extended_neighbors(samples: SampleSet, s):
-    """Indices of sites through which some circle (or line) through s
-    bounds an empty disk or empty disk complement: the hull corners of
-    the inverted configuration plus any images on hull edges."""
-    images = _inverted_images(samples, s)
-    hull = convex_hull(images)
-    return tuple(sorted(hull.vertex_indices + hull.on_edge_indices))
+    corners = convex_hull(images)
+    return LuneAngleSet(tuple(sorted(zip(corners, turning_angles(images, corners)))))
 
 
 def weights_from_angles(angles: LuneAngleSet, weight_fn: WeightFunction = WeightFunction.TAN_HALF) -> WeightVector:
@@ -284,13 +269,12 @@ def interpolate(
     s,
     weight_fn: WeightFunction = WeightFunction.TAN_HALF,
     allow_exterior: bool = False,
-    snap_tolerance: float = DEFAULT_SNAP_TOLERANCE,
 ):
     """Blend the neighbor elevations of s with normalized lune-angle
     weights.  Coincident queries return the site elevation exactly;
     boundary queries fail; exterior queries fail unless allow_exterior
     is set, in which case the same construction is evaluated."""
-    cls = classify_query(samples, s, snap_tolerance)
+    cls = classify_query(samples, s)
     if cls.kind is QueryKind.COINCIDENT:
         return samples.elevations[cls.site_index]
     if cls.kind is QueryKind.ON_BOUNDARY:

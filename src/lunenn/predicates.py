@@ -18,6 +18,9 @@ from .errors import DegenerateInputError
 _EPS = 2.0 ** -53
 _ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+# The bounds assume that no product underflows.  Below this permanent the
+# in-circle products may be subnormal, so the exact path decides.
+_INCIRCLE_FLOOR = 2.0 ** -900
 
 
 def _sign(value) -> int:
@@ -89,7 +92,7 @@ def incircle_sign_unchecked(p, q, r, t) -> int:
         + blift * (abs(cdxady) + abs(adxcdy))
         + clift * (abs(adxbdy) + abs(bdxady))
     )
-    if abs(det) > _INCIRCLE_BOUND * permanent:
+    if abs(det) > _INCIRCLE_BOUND * permanent and permanent >= _INCIRCLE_FLOOR:
         return 1 if det > 0 else -1
     return _incircle_exact(p, q, r, t)
 

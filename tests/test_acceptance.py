@@ -170,9 +170,9 @@ def test_interpolation_and_continuity():
             nx, ny, norm = 1.0, 0.0, 1.0
         d = 1e-9 * samples.diagonal
         q = Point(site.x + d * nx / norm, site.y + d * ny / norm)
-        if classify_query(samples, q, snap_tolerance=0.0).kind is not QueryKind.INTERIOR:
+        if classify_query(samples, q).kind is not QueryKind.INTERIOR:
             continue
-        value = interpolate(samples, q, snap_tolerance=0.0)
+        value = interpolate(samples, q)
         spread = max(samples.elevations) - min(samples.elevations)
         worst = max(worst, abs(value - samples.elevations[i]) / spread)
     ok = exact_misses == 0 and worst <= 1e-6
@@ -338,11 +338,11 @@ def _structural_violations(points):
             if j not in t and incircle_sign_unchecked(a, b, c, p) > 0:
                 bad += 1
     hull = convex_hull(points)
-    m = len(hull.vertex_indices)
+    m = len(hull)
     for i in range(m):
-        a = points[hull.vertex_indices[i]]
-        b = points[hull.vertex_indices[(i + 1) % m]]
-        c = points[hull.vertex_indices[(i + 2) % m]]
+        a = points[hull[i]]
+        b = points[hull[(i + 1) % m]]
+        c = points[hull[(i + 2) % m]]
         if orientation_sign(a, b, c) != 1:
             bad += 1
     return bad

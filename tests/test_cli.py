@@ -95,6 +95,8 @@ def test_usage_errors(square, capsys):
     assert main(["eval", "--samples", square, "--at", "zzz"]) == 1
     assert main(["eval", "--samples", square, "--at", "0,0", "--weight-fn", "nope"]) == 1
     assert main(["grid", "--samples", square, "--grid", "1,2,3", "--out", "x.pgm"]) == 1
+    # An empty list is one empty field, which int() rejects.
+    assert main(["experiment", "harmonic", "--seed", "1", "--out", "h.csv", "--sizes", ""]) == 1
 
 
 def test_eval_huge_sites_is_a_domain_error(tmp_path, capsys):
@@ -202,6 +204,14 @@ def test_experiment_harmonic_cli(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,interpolant_error,estimator_error"
     assert len(lines) == 5
+
+
+def test_experiment_harmonic_one_size_is_a_domain_error(tmp_path, capsys):
+    out = tmp_path / "harm.csv"
+    argv = ["experiment", "harmonic", "--seed", "3", "--out", str(out), "--sizes", "64"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: need at least two sizes, got 1\n"
+    assert not out.exists()
 
 
 def test_experiment_outputs_deterministic(tmp_path, capsys):

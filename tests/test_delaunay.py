@@ -28,6 +28,7 @@ from lunenn import (
     sibson_weights,
     voronoi_cell_polygon,
 )
+from lunenn.delaunay import GHOST
 from lunenn.predicates import incircle_sign_unchecked
 
 SQUARE_SITES = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
@@ -81,9 +82,11 @@ def _check_structure(samples, tri):
                 triangles[other][back],
                 triangles[other][(back + 1) % 3],
             }
-    # Euler relation with h = points on the hull boundary.
+    # Euler relation with h = points on the hull boundary: corners, and
+    # points on the line of a hull edge, which lie on that edge.
     hull = convex_hull(sites)
-    h = len(hull.vertex_indices) + len(hull.on_edge_indices)
+    edges = [(sites[a], sites[b]) for a, b in zip(hull, hull[1:] + hull[:1])]
+    h = sum(1 for p in sites if any(orientation_sign(a, b, p) == 0 for a, b in edges))
     assert len(triangles) == 2 * len(sites) - 2 - h
     # Triangles tile the hull: the areas add up.
     area = math.fsum(
@@ -94,7 +97,7 @@ def _check_structure(samples, tri):
         )
         for a, b, c in triangles
     )
-    corners = [sites[i] for i in hull.vertex_indices]
+    corners = [sites[i] for i in hull]
     hull_area = 0.5 * abs(
         math.fsum(
             corners[k].x * corners[(k + 1) % len(corners)].y
@@ -241,6 +244,12 @@ def _classify_corpus():
     yield SampleSet(SQUARE_SITES + cluster, [0.0] * 9)
 
 
+def _d2(a, b):
+    dx = a.x - b.x
+    dy = a.y - b.y
+    return dx * dx + dy * dy
+
+
 def test_classify_matches_classify_query():
     rng = random.Random(251)
     for samples in _classify_corpus():
@@ -253,7 +262,7 @@ def test_classify_matches_classify_query():
             (rng.uniform(min(xs) - w, max(xs) + w), rng.uniform(min(ys) - h, max(ys) + h))
             for _ in range(60)
         ]
-        corners = samples.hull.vertex_indices
+        corners = samples.hull
         for k, i in enumerate(corners):
             a, b = sites[i], sites[corners[(k + 1) % len(corners)]]
             # Midpoint, and extensions past either end of the hull edge.
@@ -265,10 +274,14 @@ def test_classify_matches_classify_query():
                 queries.append(q)
                 queries.extend((q[0] + a * 1.1e-16, q[1] + b * 1.1e-16) for a, b in ((1, 2), (-3, 1)))
         for q in queries:
-            assert tri.classify(q) == classify_query(samples, q)
-            # The snap over the cavity cycle at other tolerances.
-            for tol in (0.0, 0.3):
-                assert tri._place(q, tol)[0] == classify_query(samples, q, tol)
+            cls, p, _, cycle = tri._place(q)
+            assert cls == classify_query(samples, q)
+            if cycle is None:
+                continue
+            # The snap looks only at the sites on the cavity cycle; the
+            # nearest of them is as near as the nearest of all sites.
+            ring = [u for u, _, _, _ in cycle if u != GHOST]
+            assert min(_d2(sites[i], p) for i in ring) == min(_d2(site, p) for site in sites)
 
 
 def test_oracle_agrees_with_inverted_hull():
@@ -456,7 +469,7 @@ def test_voronoi_cell_contains_site():
     for trial in range(10):
         samples = _random_samples(rng, n=20)
         tri = build_delaunay(samples)
-        corners = set(convex_hull(samples.sites).vertex_indices)
+        corners = set(convex_hull(samples.sites))
         for i in range(samples.size):
             cell = voronoi_cell_polygon(tri, i)
             if i in corners:
@@ -503,8 +516,7 @@ def test_voronoi_rays_outward_normals():
     rng = random.Random(271)
     samples = _random_samples(rng, n=12)
     tri = build_delaunay(samples)
-    hull = convex_hull(samples.sites)
-    corners = list(hull.vertex_indices)
+    corners = convex_hull(samples.sites)
     centroid_x = math.fsum(p.x for p in samples.sites) / samples.size
     centroid_y = math.fsum(p.y for p in samples.sites) / samples.size
     for k, i in enumerate(corners):

@@ -92,6 +92,13 @@ def test_experiment_harmonic_passes():
     assert errors == sorted(errors, reverse=True)
 
 
+@pytest.mark.parametrize("sizes", [(), (64,)])
+def test_experiment_harmonic_needs_two_sizes(sizes):
+    # One size cannot show a decrease: the report must not pass vacuously.
+    with pytest.raises(PreconditionError, match="at least two sizes"):
+        experiment_harmonic(seed=1, sizes=sizes)
+
+
 def test_experiment_harmonic_center_query_is_exact():
     report = experiment_harmonic(seed=5, sizes=(8, 16), query=(0.0, 0.0))
     for _, err_interp, err_estimator in report.rows:

@@ -34,7 +34,7 @@ def test_load_square(tmp_path):
     samples = load_samples_csv(_write(tmp_path, "sq.csv", SQUARE_CSV))
     assert samples.size == 4
     assert samples.elevations == (10.0, 20.0, 30.0, 40.0)
-    assert not samples.is_complex
+    assert all(type(z) is float for z in samples.elevations)
 
 
 def test_load_comments_and_blanks(tmp_path):
@@ -46,7 +46,7 @@ def test_load_comments_and_blanks(tmp_path):
 def test_load_complex(tmp_path):
     text = "x,y,z_re,z_im\n0,0,1,2\n1,0,3,0\n0,1,4,-1\n"
     samples = load_samples_csv(_write(tmp_path, "z.csv", text))
-    assert samples.is_complex
+    assert all(type(z) is complex for z in samples.elevations)
     assert samples.elevations[0] == 1 + 2j
 
 

@@ -1,4 +1,4 @@
-"""Convex hull corners, on-edge points, and turning angles."""
+"""Convex hull corners, points on hull edges, and turning angles."""
 
 import math
 import random
@@ -17,13 +17,12 @@ SQUARE = [Point(-1, -1), Point(1, -1), Point(1, 1), Point(-1, 1)]
 
 
 def _corner_points(points, hull):
-    return [points[i] for i in hull.vertex_indices]
+    return [points[i] for i in hull]
 
 
 def test_square_hull():
     hull = convex_hull(SQUARE)
-    assert len(hull.vertex_indices) == 4
-    assert hull.on_edge_indices == ()
+    assert len(hull) == 4
     corners = _corner_points(SQUARE, hull)
     # CCW and starting at the lexicographically smallest point.
     assert corners[0] == Point(-1, -1)
@@ -35,15 +34,15 @@ def test_square_hull():
 def test_interior_point_dropped():
     pts = SQUARE + [Point(0, 0)]
     hull = convex_hull(pts)
-    assert sorted(hull.vertex_indices) == [0, 1, 2, 3]
-    assert hull.on_edge_indices == ()
+    assert sorted(hull) == [0, 1, 2, 3]
 
 
 def test_on_edge_point_reported_separately():
     pts = [Point(0, 0), Point(1, 0), Point(2, 0), Point(1, 1)]
     hull = convex_hull(pts)
-    assert sorted(hull.vertex_indices) == [0, 2, 3]
-    assert hull.on_edge_indices == (1,)
+    # Point 1 lies on the edge from corner 0 to corner 2 and is no corner.
+    assert sorted(hull) == [0, 2, 3]
+    assert orientation_sign(pts[0], pts[2], pts[1]) == 0
 
 
 def test_too_few_points():
@@ -80,7 +79,7 @@ def test_right_triangle_turning_angle():
     hull = convex_hull(pts)
     angles = turning_angles(pts, hull)
     assert abs(math.fsum(angles) - 2 * math.pi) <= 1e-12
-    at = dict(zip(hull.vertex_indices, angles))
+    at = dict(zip(hull, angles))
     # Exterior angle at the right-angle corner.
     assert abs(at[0] - math.pi / 2) <= 1e-12
 
@@ -107,9 +106,7 @@ def test_non_corner_points_inside_or_on_edge():
     rng = random.Random(73)
     for _ in range(50):
         pts = _random_points(rng, 30)
-        hull = convex_hull(pts)
-        corners = hull.vertex_indices
-        on_edge = set(hull.on_edge_indices)
+        corners = convex_hull(pts)
         for i, p in enumerate(pts):
             if i in corners:
                 continue
@@ -117,10 +114,7 @@ def test_non_corner_points_inside_or_on_edge():
                 orientation_sign(pts[corners[k]], pts[corners[(k + 1) % len(corners)]], p)
                 for k in range(len(corners))
             ]
-            if i in on_edge:
-                assert min(sides) == 0
-            else:
-                assert min(sides) == 1
+            assert min(sides) >= 0
 
 
 def test_hull_idempotent():
@@ -143,8 +137,8 @@ def test_permutation_invariance():
         shuffled = [pts[i] for i in order]
         hull2 = convex_hull(shuffled)
         # Map shuffled indices back to the original labels.
-        back = sorted(order[i] for i in hull2.vertex_indices)
-        assert back == sorted(hull.vertex_indices)
+        back = sorted(order[i] for i in hull2)
+        assert back == sorted(hull)
         assert _corner_points(shuffled, hull2) == _corner_points(pts, hull)
 
 
@@ -153,7 +147,7 @@ def test_rigid_motion_invariance():
     for _ in range(50):
         pts = _random_points(rng, 20)
         hull = convex_hull(pts)
-        angles = dict(zip(hull.vertex_indices, turning_angles(pts, hull)))
+        angles = dict(zip(hull, turning_angles(pts, hull)))
         t = rng.uniform(0, 2 * math.pi)
         dx, dy = rng.uniform(-5, 5), rng.uniform(-5, 5)
         moved = [
@@ -164,8 +158,8 @@ def test_rigid_motion_invariance():
             for p in pts
         ]
         hull2 = convex_hull(moved)
-        assert sorted(hull2.vertex_indices) == sorted(hull.vertex_indices)
-        angles2 = dict(zip(hull2.vertex_indices, turning_angles(moved, hull2)))
+        assert sorted(hull2) == sorted(hull)
+        angles2 = dict(zip(hull2, turning_angles(moved, hull2)))
         for i, a in angles.items():
             assert abs(angles2[i] - a) <= 1e-12
 
@@ -174,8 +168,9 @@ def test_collinear_run_on_hull_edge():
     # Several points along one edge: only the endpoints are corners.
     pts = [Point(x, 0.0) for x in range(5)] + [Point(2, 3)]
     hull = convex_hull(pts)
-    assert sorted(hull.vertex_indices) == [0, 4, 5]
-    assert sorted(hull.on_edge_indices) == [1, 2, 3]
+    assert sorted(hull) == [0, 4, 5]
+    for i in (1, 2, 3):
+        assert orientation_sign(pts[0], pts[4], pts[i]) == 0
     angles = turning_angles(pts, hull)
     assert abs(math.fsum(angles) - 2 * math.pi) <= 1e-12
 
@@ -201,7 +196,7 @@ def test_on_edge_scan_runs_only_when_read(monkeypatch):
 
     monkeypatch.setattr(lunenn.hull, "orientation_sign", counting)
     hull = convex_hull(pts)
-    # The monotone chain pops each point at most once per chain.
+    # The monotone chain pops each point at most once per chain, and no
+    # scan of the points against the hull edges follows.
     assert calls[0] <= 4 * len(pts)
-    assert sorted(hull.vertex_indices) == list(range(20))
-    assert hull.on_edge_indices == ()
+    assert sorted(hull) == list(range(20))

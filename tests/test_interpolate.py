@@ -1,7 +1,7 @@
 """The inversion-hull interpolant: query classification, lune angles,
 weight normalization, and the headline invariance under Moebius maps.
 
-The extended-neighbor tests check the hull construction against a slow
+The neighbor tests check the hull construction against a slow
 rational-arithmetic oracle that sweeps the whole pencil of circles
 through the query and one site.
 """
@@ -27,7 +27,6 @@ from lunenn import (
     build_delaunay,
     classify_query,
     evaluate_grid,
-    extended_neighbors,
     interpolate,
     lune_angles,
     lune_angles_oracle,
@@ -89,9 +88,11 @@ def test_sample_set_validation():
 
 
 def test_sample_set_complex_elevations():
-    samples = SampleSet([(0, 0), (1, 0), (0, 1)], [1 + 2j, 3.0, 4.0])
-    assert samples.is_complex
-    assert not _square().is_complex
+    samples = SampleSet([(0, 0), (1, 0), (0, 1)], [1 + 2j, 3, 4.0])
+    assert samples.elevations == (1 + 2j, 3.0, 4.0)
+    assert [type(z) for z in samples.elevations] == [complex, float, float]
+    assert isinstance(interpolate(samples, (0.25, 0.25)), complex)
+    assert isinstance(interpolate(_square(), (0, 0)), float)
 
 
 def test_sample_set_diagonal():
@@ -106,7 +107,7 @@ def test_classify_square_center():
 
 
 def test_classify_exact_site():
-    cls = classify_query(_square(), (1, 1), snap_tolerance=0.0)
+    cls = classify_query(_square(), (1, 1))
     assert cls.kind is QueryKind.COINCIDENT
     assert cls.site_index == 2
 
@@ -129,8 +130,10 @@ def test_classify_snap_radius():
 
 
 def test_classify_tie_goes_to_lowest_index():
-    samples = SampleSet([(0, 0), (2, 0), (1, 5), (1, -5)], [0.0] * 4)
-    cls = classify_query(samples, (1, 0), snap_tolerance=0.5)
+    # Sites 2**-49 apart, well inside the snap radius of each other; the
+    # midpoint is exactly as far from both.
+    samples = SampleSet([(0, 0), (2.0 ** -49, 0), (1, 5), (1, -5)], [0.0] * 4)
+    cls = classify_query(samples, (2.0 ** -50, 0))
     assert cls.kind is QueryKind.COINCIDENT
     assert cls.site_index == 0
 
@@ -261,11 +264,10 @@ _NON_FINITE_CALLS = {
     "interpolate-exterior": lambda sq: interpolate(sq, (_INF, 0.0), allow_exterior=True),
     "classify_query": lambda sq: classify_query(sq, (0.0, _INF)),
     "lune_angles": lambda sq: lune_angles(sq, (-_INF, 0.0)),
-    "extended_neighbors": lambda sq: extended_neighbors(sq, (0.0, _NAN)),
     "sibson_interpolate": lambda sq: sibson_interpolate(build_delaunay(sq), sq.elevations, (_NAN, 0.0)),
     "sibson_weights": lambda sq: sibson_weights(build_delaunay(sq), (0.0, -_INF)),
     "lune_angles_oracle": lambda sq: lune_angles_oracle(build_delaunay(sq), (_INF, _INF)),
-    "Triangulation.classify": lambda sq: build_delaunay(sq).classify((_NAN, _NAN)),
+    "Triangulation._place": lambda sq: build_delaunay(sq)._place((_NAN, _NAN)),
     "evaluate_grid": lambda sq: evaluate_grid(sq, GridSpec(-_INF, _INF, -1, 1, 4, 4)),
 }
 
@@ -287,6 +289,18 @@ def test_non_finite_query_is_a_domain_error(entry, tmp_path, capsys):
     }[entry]
     assert main(argv + ["--samples", str(path)]) == 2
     assert capsys.readouterr().err == "error: query coordinates must be finite\n"
+
+
+def test_int_too_large_for_a_float_is_a_domain_error():
+    huge = 10**400
+    with pytest.raises(DegenerateInputError, match="query coordinates must be finite"):
+        interpolate(_square(), (huge, 0))
+    with pytest.raises(DegenerateInputError, match="query coordinates must be finite"):
+        sibson_interpolate(build_delaunay(_square()), SQUARE_Z, (0, -huge))
+    with pytest.raises(DegenerateInputError, match="site coordinates must be finite"):
+        SampleSet([(0, 0), (1, 0), (0, huge)], [0.0] * 3)
+    with pytest.raises(DegenerateInputError, match="elevations must be finite"):
+        SampleSet([(0, 0), (1, 0), (0, 1)], [0.0, -huge, 0.0])
 
 
 def test_convex_combination_bounds():
@@ -331,10 +345,10 @@ def test_continuity_at_samples():
         t = rng.uniform(0, 2 * math.pi)
         eps = 1e-9 * samples.diagonal
         s = (site.x + eps * math.cos(t), site.y + eps * math.sin(t))
-        cls = classify_query(samples, s, snap_tolerance=0.0)
+        cls = classify_query(samples, s)
         if cls.kind is not QueryKind.INTERIOR:
             continue
-        value = interpolate(samples, s, snap_tolerance=0.0)
+        value = interpolate(samples, s)
         assert abs(value - zs[i]) <= 1e-6 * spread
 
 
@@ -369,7 +383,7 @@ def test_weights_ignore_buried_site():
     assert interpolate(base, s) == interpolate(grown, s)
 
 
-# ------------------------------------------------------ extended neighbors
+# ---------------------------------------------------------------- neighbors
 
 
 def _neighbor_oracle(sites, s, j, strict=False):
@@ -413,24 +427,19 @@ def _neighbor_oracle(sites, s, j, strict=False):
     return feasible_out or feasible_in
 
 
-def test_square_extended_neighbors():
-    assert extended_neighbors(_square(), (0, 0)) == (0, 1, 2, 3)
-
-
 def test_far_site_not_a_neighbor():
     samples = SampleSet(SQUARE_SITES + [(10, 0)], [0.0] * 5)
-    assert extended_neighbors(samples, (0, 0)) == (0, 1, 2, 3)
+    assert lune_angles(samples, (0, 0)).indices == (0, 1, 2, 3)
     assert not _neighbor_oracle(samples.sites, (0, 0), 4)
 
 
 def test_on_edge_image_is_extended_but_carries_no_angle():
     # Sites on a circle through the query invert to collinear images; the
-    # middle image sits on a hull edge, so it is an extended neighbor with
-    # zero turning angle.
+    # middle image sits on a hull edge, so sites 0 and 5 touch an empty
+    # circle through the query but carry zero turning angle.
     sites = [(2, 0), (1, 1), (1, -1), (-1, 1), (-1, -1), (-2, 0)]
     samples = SampleSet(sites, [0.0] * 6)
     s = (0.0, 0.0)
-    assert extended_neighbors(samples, s) == (0, 1, 2, 3, 4, 5)
     angles = lune_angles(samples, s)
     assert angles.indices == (1, 2, 3, 4)
     for theta in angles.angles:
@@ -465,7 +474,7 @@ def test_extended_neighbors_match_circle_pencil_oracle():
                 continue
             if classify_query(samples, cand).kind is QueryKind.INTERIOR:
                 s = cand
-        got = set(extended_neighbors(samples, s))
+        got = set(lune_angles(samples, s).indices)
         for j in range(samples.size):
             closed = _neighbor_oracle(samples.sites, s, j)
             strict = _neighbor_oracle(samples.sites, s, j, strict=True)

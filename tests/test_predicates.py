@@ -1,11 +1,14 @@
 """Exact-sign predicate tests: known configurations, antisymmetry, and
 agreement with a rational-arithmetic reference on adversarial inputs."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lunenn import DegenerateInputError, incircle_sign, orientation_sign
 from lunenn.predicates import incircle_sign_unchecked
@@ -146,3 +149,41 @@ def test_incircle_orientation_flip_negates():
         if orientation_sign(p, q, r) == 0:
             continue
         assert incircle_sign_unchecked(p, q, r, t) == -incircle_sign_unchecked(p, r, q, t)
+
+
+def test_incircle_underflow_repro():
+    # At this scale the lifted products are subnormal and the float
+    # determinant has the wrong sign; the filter must not trust it.
+    pts = (
+        (8.000000000000009e-80, 2e-80),
+        (4e-80, 4e-80),
+        (2.9999999999999997e-80, 2.9999999999999997e-80),
+        (5.000000000000005e-80, -1e-80),
+    )
+    assert _incircle_reference(*pts) == 1
+    assert incircle_sign_unchecked(*pts) == 1
+
+
+#: Scale exponents: where the in-circle products (about 2**(4k)) and the
+#: orientation products (about 2**(2k)) turn subnormal, and anywhere else.
+_SCALES = st.one_of(
+    st.integers(-271, -256), st.integers(-545, -505), st.integers(-1070, 250)
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(k=-269, jitter=[(-1, -1), (3, 3), (1, 0), (-3, 1), (4, 2), (0, -3), (4, 0), (-1, 0), (-3, 1)])
+@given(k=_SCALES, jitter=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=9, max_size=9))
+def test_predicates_exact_at_every_scale(k, jitter):
+    # A 3x3 lattice, each point moved by a few ulps, scaled by 2**k: every
+    # triple is near collinear or every quadruple near cocircular.
+    scale = 2.0 ** k
+    pts = [
+        ((x + a * 2.0 ** -50) * scale, (y + b * 2.0 ** -50) * scale)
+        for (x, y), (a, b) in zip(itertools.product(range(3), repeat=2), jitter)
+    ]
+    for p, q, r, t in itertools.combinations(pts, 4):
+        orient = _orient_reference(p, q, r)
+        assert orientation_sign(p, q, r) == orient
+        if orient != 0:
+            assert incircle_sign_unchecked(p, q, r, t) == _incircle_reference(p, q, r, t)
