@@ -5,7 +5,10 @@ The triangulation is built by Bowyer-Watson point insertion over a mesh
 that carries one ghost triangle per hull edge, so hull growth needs no
 oversized bounding triangle.  Cocircular ties are broken by a symbolic
 perturbation that treats lower-indexed sites as infinitesimally lifted,
-which makes the result independent of insertion order.
+which makes the result independent of insertion order.  A triangle's
+vertex order is fixed when it is created, a destroyed triangle leaves a
+None slot, and nothing renumbers the rest; the public views are sorted
+copies, built once after the last insertion.
 
 Virtual insertion computes the cavity and fan a query point would create
 without mutating the mesh, and alone places a query: the walk finds it, and
@@ -21,10 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError
+from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, circle_angle_at_common_point, circumcircle
 from .interpolate import LuneAngleSet, QueryClass, QueryKind
-from .interpolate import SampleSet, WeightVector, _blend, _query_point, _snap
+from .interpolate import SampleSet, WeightVector, _blend, _finite, _query_point, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -79,11 +82,17 @@ class VoronoiCell:
 class Triangulation:
     """Delaunay triangulation of a SampleSet.  Build through
     build_delaunay; afterwards the structure is read-only and all queries
-    (virtual insertion included) leave it untouched."""
+    (virtual insertion included) leave it untouched.
+
+    Triangle t is _verts[t]: CCW site indices, GHOST in slot 2 or else the
+    smallest in slot 0, set at creation; _nbrs[t][e] lies across edge e
+    (vertex e to e + 1).  A destroyed triangle leaves a None slot.  The
+    public views are sorted copies, built once: triangles, the finite
+    ones, and neighbors[i][e], an index into triangles or None on the hull."""
 
     def __init__(self, samples: SampleSet):
         self._samples = samples
-        self._pts = list(samples.sites)
+        self._pts = samples.sites
         self._verts = []
         self._nbrs = []
         self._hint = 0
@@ -96,48 +105,32 @@ class Triangulation:
     def samples(self) -> SampleSet:
         return self._samples
 
-    @property
-    def triangles(self):
-        """Finite triangles as CCW vertex triples, smallest vertex first,
-        sorted."""
-        return self._public_triangles
-
-    @property
-    def neighbors(self):
-        """For each finite triangle, the triangle index across each edge
-        (edge e runs from vertex e to vertex e+1), or None on the hull."""
-        return self._public_neighbors
-
     # -- construction ------------------------------------------------
 
     def _build(self):
+        # SampleSet rejects collinear sites, so some k is off the line 0-1.
         pts = self._pts
-        n = len(pts)
-        start = None
-        for k in range(2, n):
+        for k in range(2, len(pts)):
             o = orientation_sign(pts[0], pts[1], pts[k])
             if o != 0:
-                start = (0, 1, k) if o > 0 else (0, k, 1)
                 break
-        if start is None:
-            raise DegenerateInputError("all sites are collinear")
-        a, b, c = start
+        a, b, c = (0, 1, k) if o > 0 else (0, k, 1)
         # Triangle ids: 0 finite, 1..3 ghosts for edges ab, bc, ca.
         self._new_triangle(a, b, c, [1, 2, 3])
         self._new_triangle(b, a, GHOST, [0, 3, 2])
         self._new_triangle(c, b, GHOST, [0, 1, 3])
         self._new_triangle(a, c, GHOST, [0, 2, 1])
-        for idx in range(2, n):
-            if idx != start[1] and idx != start[2]:
+        for idx in range(2, len(pts)):
+            if idx != k:
                 self._insert(idx)
 
     def _new_triangle(self, u, v, w, nbrs):
-        # Keep any ghost vertex in slot 2; nbrs[e] lies across edge e and
-        # rotates with the vertices.
-        if u == GHOST:
+        # The one layout: a ghost vertex in slot 2, otherwise the smallest
+        # in slot 0; nbrs[e] lies across edge e and rotates with them.
+        if u == GHOST or (v != GHOST and v < u and v < w):
             u, v, w = v, w, u
             nbrs = [nbrs[1], nbrs[2], nbrs[0]]
-        elif v == GHOST:
+        elif v == GHOST or (w != GHOST and w < u and w < v):
             u, v, w = w, u, v
             nbrs = [nbrs[2], nbrs[0], nbrs[1]]
         self._verts.append([u, v, w])
@@ -251,41 +244,27 @@ class Triangulation:
         self._hint = next(f for f, (u, v, _, _) in zip(fan, cycle) if GHOST not in (u, v))
 
     def _finalize(self):
-        keep = [t for t, vs in enumerate(self._verts) if vs is not None]
-        rotated = {}
-        for t in keep:
-            vs = self._verts[t]
-            if vs[2] == GHOST:
-                rotated[t] = (vs, self._nbrs[t])
-                continue
-            r = min(range(3), key=lambda e: vs[e])
-            rotated[t] = (
-                [vs[r], vs[(r + 1) % 3], vs[(r + 2) % 3]],
-                [self._nbrs[t][r], self._nbrs[t][(r + 1) % 3], self._nbrs[t][(r + 2) % 3]],
-            )
-        keep.sort(key=lambda t: (rotated[t][0][2] == GHOST, rotated[t][0]))
-        remap = {t: i for i, t in enumerate(keep)}
-        self._verts = [rotated[t][0] for t in keep]
-        self._nbrs = [[remap[nb] for nb in rotated[t][1]] for t in keep]
-        self._finite_count = sum(1 for vs in self._verts if vs[2] != GHOST)
-        self._hint = 0
+        verts = self._verts
+        finite = sorted(
+            (t for t, vs in enumerate(verts) if vs is not None and vs[2] != GHOST),
+            key=verts.__getitem__,
+        )
+        position = {t: i for i, t in enumerate(finite)}
+        self.triangles = tuple(tuple(verts[t]) for t in finite)
+        self.neighbors = tuple(
+            tuple(position.get(nb) for nb in self._nbrs[t]) for t in finite
+        )
         self._incident = {}
-        for t in range(self._finite_count):
-            for v in self._verts[t]:
+        for t in finite:
+            for v in verts[t]:
                 self._incident.setdefault(v, t)
         self._hull_prev = {}
         self._hull_next = {}
-        for t in range(self._finite_count, len(self._verts)):
-            head, tail, _ = self._verts[t]
-            self._hull_next[tail] = head
-            self._hull_prev[head] = tail
-        self._public_triangles = tuple(
-            tuple(self._verts[t]) for t in range(self._finite_count)
-        )
-        self._public_neighbors = tuple(
-            tuple(nb if nb < self._finite_count else None for nb in self._nbrs[t])
-            for t in range(self._finite_count)
-        )
+        for vs in verts:
+            if vs is not None and vs[2] == GHOST:
+                head, tail, _ = vs
+                self._hull_next[tail] = head
+                self._hull_prev[head] = tail
 
     # -- virtual insertion -------------------------------------------
 
@@ -380,8 +359,8 @@ class Triangulation:
         """Voronoi cell of a site: circumcenters of its incident triangles
         in CCW order when bounded, otherwise the outward directions of the
         two unbounded boundary rays."""
-        if not (0 <= site_index < len(self._pts)):
-            raise IndexError("site index out of range")
+        if not isinstance(site_index, int) or not 0 <= site_index < len(self._pts):
+            raise PreconditionError("site index must be an int in range(%d)" % len(self._pts))
         if site_index in self._hull_next:
             out_dirs = []
             for a, b in (
@@ -432,11 +411,14 @@ voronoi_cell_polygon = Triangulation.voronoi_cell_polygon
 def sibson_interpolate(tri: Triangulation, elevations, s):
     """Blend elevations with Sibson weights; reproduces affine data
     exactly up to roundoff.  A query that snaps to a site returns that
-    site's elevation, as interpolate does."""
+    site's elevation, as interpolate does.  Only the elevations the query
+    reads are checked: a non-finite result raises DegenerateInputError."""
     if len(elevations) != len(tri.samples.sites):
         raise DegenerateInputError("one elevation per site required")
     try:
-        weights = tri.sibson_weights(s)
+        value = _blend(tri.sibson_weights(s), elevations)
     except CoincidentQueryError as exc:
-        return elevations[exc.site_index]
-    return _blend(weights, elevations)
+        value = elevations[exc.site_index]
+    for part in (value.real, value.imag) if isinstance(value, complex) else (value,):
+        _finite(part, "elevations must be finite")
+    return value

@@ -130,10 +130,16 @@ def experiment_invariance(seed: int, trials: int = 50) -> ExperimentReport:
     )
 
 
+def _harmonic(function_id: str):
+    if function_id not in HARMONIC_FUNCTIONS:
+        raise PreconditionError("unknown function %r" % function_id)
+    return HARMONIC_FUNCTIONS[function_id]
+
+
 def circle_samples(function_id: str, n: int, phase: float) -> SampleSet:
     """n equispaced samples of a harmonic test function on the unit
     circle, starting at the given phase angle."""
-    f = HARMONIC_FUNCTIONS[function_id]
+    f = _harmonic(function_id)
     sites = []
     values = []
     for k in range(n):
@@ -156,9 +162,7 @@ def experiment_harmonic(
     strictly decreasing and end at or below 1e-3; needs two sizes or more."""
     if len(sizes) < 2:
         raise PreconditionError("need at least two sizes, got %d" % len(sizes))
-    if function_id not in HARMONIC_FUNCTIONS:
-        raise PreconditionError("unknown function %r" % function_id)
-    f = HARMONIC_FUNCTIONS[function_id]
+    f = _harmonic(function_id)
     q = Point(*(query if query is not None else _DEFAULT_QUERIES[function_id]))
     if q.x * q.x + q.y * q.y >= 1.0:
         raise OutsideDomainError("query must lie strictly inside the unit circle")

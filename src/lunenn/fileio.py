@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .delaunay import build_delaunay, sibson_interpolate
 from .errors import CsvFormatError, DegenerateBoundaryError, DegenerateInputError, OutsideDomainError
-from .interpolate import SampleSet, WeightFunction, interpolate
+from .interpolate import SampleSet, WeightFunction, _finite, interpolate
 
 _REAL_HEADER = ("x", "y", "z")
 _COMPLEX_HEADER = ("x", "y", "z_re", "z_im")
@@ -81,10 +81,12 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        for v in (self.x_min, self.x_max, self.y_min, self.y_max):
+            _finite(v, "grid extents must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise DegenerateInputError("grid extents must be non-empty")
-        if self.nx < 2 or self.ny < 2:
-            raise DegenerateInputError("grid needs at least 2x2 nodes")
+        if not all(isinstance(n, int) and n >= 2 for n in (self.nx, self.ny)):
+            raise DegenerateInputError("grid node counts must be ints of at least 2")
 
     def xs(self):
         step = (self.x_max - self.x_min) / (self.nx - 1)
@@ -135,7 +137,8 @@ def write_pgm(rows, path):
         raise DegenerateInputError("grid rows must be non-empty and rectangular")
     if any(isinstance(v, complex) for row in rows for v in row):
         raise DegenerateInputError("complex values cannot be rasterized")
-    finite = [v for row in rows for v in row if v is not None]
+    message = "grid values must be finite"
+    finite = [_finite(v, message) for row in rows for v in row if v is not None]
     if finite:
         lo = min(finite)
         hi = max(finite)

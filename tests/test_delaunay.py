@@ -6,6 +6,7 @@ is tested against every site, and triangle counts are compared with the
 Euler relation T = 2n - 2 - h.
 """
 
+import hashlib
 import math
 import random
 
@@ -13,8 +14,10 @@ import pytest
 
 from lunenn import (
     CoincidentQueryError,
+    DegenerateInputError,
     OutsideDomainError,
     Point,
+    PreconditionError,
     QueryKind,
     SampleSet,
     build_delaunay,
@@ -384,6 +387,21 @@ def test_sibson_rejects_bad_queries():
         sibson_interpolate(tri, [1.0, 2.0], (0, 0))
 
 
+def test_sibson_interpolate_rejects_non_finite_elevations():
+    tri = build_delaunay(SampleSet(SQUARE_SITES + [(0, 0)], [0.0] * 5))
+    nan, inf = math.nan, math.inf
+    for z, q in (
+        ([nan] * 5, (0.1, 0.2)),
+        ([inf, 1.0, 1.0, 1.0, 1.0], (-0.5, -0.4)),
+        ([1.0, 1.0, 1.0, 1.0, -inf], (0, 0)),
+        ([1.0, 1.0, complex(1.0, nan), 1.0, 1.0], (1, 1)),
+    ):
+        with pytest.raises(DegenerateInputError, match="elevations must be finite"):
+            sibson_interpolate(tri, z, q)
+    # Only what the query reads is checked: (0.5, 0.1) has neighbours 1, 2, 4.
+    assert sibson_interpolate(tri, [nan, 1.0, 1.0, inf, 1.0], (0.5, 0.1)) == 1.0
+
+
 def test_sibson_monte_carlo_light():
     import numpy as np
 
@@ -512,6 +530,13 @@ def test_voronoi_cell_matches_nearest_site():
                 assert i == nearest
 
 
+def test_voronoi_rejects_bad_site_index():
+    tri = build_delaunay(_square())
+    for bad in (1.5, "4", -1, 4, None):
+        with pytest.raises(PreconditionError, match="site index"):
+            voronoi_cell_polygon(tri, bad)
+
+
 def test_voronoi_rays_outward_normals():
     rng = random.Random(271)
     samples = _random_samples(rng, n=12)
@@ -532,3 +557,40 @@ def test_voronoi_rays_outward_normals():
             mid = Point((a.x + b.x) / 2, (a.y + b.y) / 2)
             outward = (mid.x - centroid_x) * ray.x + (mid.y - centroid_y) * ray.y
             assert outward > 0
+
+
+# ------------------------------------------------------ pinned mesh views
+
+
+#: SHA-256 of the views below: any change to the triangle layout, the view
+#: order or the Voronoi cells shows here.
+MESH_VIEWS_DIGEST = "af6df1ffb26bcc9a207c3e58269404942ff0bff9e96db91fa8ab45eca2a1d509"
+
+
+def _mesh_views_corpus():
+    rng = random.Random(281)
+    for n in (8, 25, 60, 150):
+        yield _random_samples(rng, n=n).sites
+    yield [(x, y) for x in range(6) for y in range(5)]
+    yield [(x + 0.5, 0.5 * y) for x in range(5) for y in range(7)]
+    # Collinear hull runs on all four sides, an interior run and a stray.
+    yield (
+        [(x, 0) for x in range(5)] + [(4, y) for y in range(1, 4)]
+        + [(x, 3) for x in range(3, -1, -1)] + [(0, y) for y in (2, 1)]
+        + [(1, 1.5), (2, 1.5), (3, 1.5), (2.5, 0.75)]
+    )
+
+
+def test_mesh_views_digest():
+    # triangles, neighbors and every Voronoi cell, as float hex, pinned
+    # bit for bit: the output fingerprint covers only query results.
+    digest = hashlib.sha256()
+    for sites in _mesh_views_corpus():
+        tri = build_delaunay(SampleSet(sites, [0.0] * len(sites)))
+        digest.update(repr((tri.triangles, tri.neighbors)).encode())
+        for i in range(len(sites)):
+            cell = voronoi_cell_polygon(tri, i)
+            points = cell.vertices if cell.bounded else cell.ray_directions
+            text = " ".join("%s,%s" % (p.x.hex(), p.y.hex()) for p in points)
+            digest.update(("%d %d %s;" % (i, cell.bounded, text)).encode())
+    assert digest.hexdigest() == MESH_VIEWS_DIGEST

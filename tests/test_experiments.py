@@ -141,3 +141,8 @@ def test_experiment_harmonic_other_functions():
     for fid in ("im_z3", "log_shift"):
         report = experiment_harmonic(seed=3, function_id=fid)
         assert report.passed, fid
+
+
+def test_circle_samples_unknown_function():
+    with pytest.raises(PreconditionError, match="unknown function"):
+        circle_samples("nope", 8, 0.0)

@@ -241,3 +241,19 @@ def test_write_pgm_rejects_ragged(tmp_path):
 def test_write_pgm_rejects_complex(tmp_path):
     with pytest.raises(DegenerateInputError):
         write_pgm([[1 + 1j, 0.0]], tmp_path / "f.pgm")
+
+
+def test_write_pgm_rejects_non_finite(tmp_path):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DegenerateInputError, match="grid values must be finite"):
+            write_pgm([[bad, 1.0]], tmp_path / "g.pgm")
+
+
+def test_grid_spec_rejects_bad_extents_and_counts():
+    with pytest.raises(DegenerateInputError, match="grid extents must be finite"):
+        evaluate_grid(_square_samples(), GridSpec(0, 10**400, 0, 1, 4, 4))
+    with pytest.raises(DegenerateInputError, match="grid extents must be finite"):
+        GridSpec(0, math.inf, 0, 1, 4, 4)
+    for nx, ny in ((4.5, 4), (4, "4"), (4, 4.0)):
+        with pytest.raises(DegenerateInputError, match="node counts"):
+            GridSpec(0, 1, 0, 1, nx, ny)
