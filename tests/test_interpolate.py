@@ -6,6 +6,7 @@ rational-arithmetic oracle that sweeps the whole pencil of circles
 through the query and one site.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -527,3 +528,73 @@ def test_invariance_under_random_maps():
         ms = moebius_apply(m, Point(*s))
         value = interpolate(mapped, ms, allow_exterior=True)
         assert abs(value - base) <= 1e-8 * max(1.0, abs(base))
+
+
+# ------------------------------------------------------------ output digest
+
+
+LUNE_OUTPUTS_DIGEST = "42d2637ed93abf82dbb01115c72d1c65c8d67c23f388781b836f5065a0c77b2f"
+
+
+def _lune_digest_corpus():
+    rng = random.Random(409)
+    yield _random_samples(rng, n=150)
+    lattice = [(float(x), float(y)) for x in range(9) for y in range(9)]
+    yield SampleSet(lattice, [x * y - y for x, y in lattice])
+    cluster = [(rng.gauss(0.3, 1e-3), rng.gauss(0.2, 1e-3)) for _ in range(90)]
+    cluster += [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(10)]
+    yield SampleSet(cluster, [rng.uniform(-1, 1) for _ in cluster])
+    skinny = [(rng.uniform(0, 1000), rng.uniform(0, 1)) for _ in range(120)]
+    yield SampleSet(skinny, [x / 1000 - y for x, y in skinny])
+
+
+def _lune_digest_queries(rng, samples):
+    xs = [p.x for p in samples.sites]
+    ys = [p.y for p in samples.sites]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    w, h = x1 - x0, y1 - y0
+    for _ in range(25):
+        yield (rng.uniform(x0, x1), rng.uniform(y0, y1))
+    # Past the hull: a band up to 25% outside the bounding box.
+    for _ in range(8):
+        yield (x0 - rng.uniform(0, 0.25) * w, rng.uniform(y0 - 0.25 * h, y1 + 0.25 * h))
+    # Within 10x the snap radius of a site: some snap, some do not.
+    radius = 1e-12 * samples.diagonal
+    for factor in (0.5, 0.99, 1.01, 2.0, 5.0, 9.5):
+        p = samples.sites[rng.randrange(samples.size)]
+        angle = rng.uniform(0, 2 * math.pi)
+        yield (p.x + factor * radius * math.cos(angle), p.y + factor * radius * math.sin(angle))
+    yield (x0 - 0.25 * w, y0 - 0.25 * h), (x1 + 0.25 * w, y1 + 0.25 * h)
+
+
+def _digest_call(digest, fn):
+    try:
+        result = fn()
+    except (CoincidentQueryError, DegenerateBoundaryError, DegenerateInputError, OutsideDomainError) as exc:
+        digest.update(("!%s;" % type(exc).__name__).encode())
+        return None
+    if isinstance(result, float):
+        digest.update(("%s;" % result.hex()).encode())
+    else:
+        digest.update(" ".join("%d %s" % (i, v.hex()) for i, v in result.entries).encode() + b";")
+    return result
+
+
+def test_lune_outputs_digest():
+    # lune_angles, weights_from_angles and interpolate, as float hex,
+    # pinned bit for bit on uniform, lattice, clustered and skinny sets:
+    # interior queries, queries past the hull, queries near a site and a
+    # moebius grid reaching 25% past the hull.
+    digest = hashlib.sha256()
+    rng = random.Random(419)
+    for samples in _lune_digest_corpus():
+        queries = list(_lune_digest_queries(rng, samples))
+        for q in queries[:-1]:
+            angles = _digest_call(digest, lambda: lune_angles(samples, q))
+            if angles is not None:
+                _digest_call(digest, lambda: weights_from_angles(angles))
+            _digest_call(digest, lambda: interpolate(samples, q, allow_exterior=True))
+        (x0, y0), (x1, y1) = queries[-1]
+        for row in evaluate_grid(samples, GridSpec(x0, x1, y0, y1, 9, 9), method="moebius"):
+            digest.update(" ".join("-" if v is None else v.hex() for v in row).encode() + b";")
+    assert digest.hexdigest() == LUNE_OUTPUTS_DIGEST
