@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, circle_angle_at_common_point, circumcircle
 from .interpolate import LuneAngleSet, QueryClass, QueryKind
-from .interpolate import SampleSet, WeightVector, _blend, _finite, _query_point, _snap
+from .interpolate import SampleSet, WeightVector, _blend, _elevation, _query_point, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -412,13 +412,11 @@ def sibson_interpolate(tri: Triangulation, elevations, s):
     """Blend elevations with Sibson weights; reproduces affine data
     exactly up to roundoff.  A query that snaps to a site returns that
     site's elevation, as interpolate does.  Only the elevations the query
-    reads are checked: a non-finite result raises DegenerateInputError."""
+    reads are checked: a non-finite one raises DegenerateInputError."""
     if len(elevations) != len(tri.samples.sites):
         raise DegenerateInputError("one elevation per site required")
     try:
         value = _blend(tri.sibson_weights(s), elevations)
     except CoincidentQueryError as exc:
         value = elevations[exc.site_index]
-    for part in (value.real, value.imag) if isinstance(value, complex) else (value,):
-        _finite(part, "elevations must be finite")
-    return value
+    return _elevation(value)

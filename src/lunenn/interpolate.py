@@ -7,12 +7,18 @@ are the lune angles of those neighbors, and normalized tan(theta/2)
 weights blend the neighbor elevations.  Because the construction only
 uses circles through s, the weights commute with any Moebius map applied
 to sites and query alike.
+
+A site at distance d has its image at radius 1/d, so the code inverts
+only the sites within reach, ring by ring over a bucket grid that the
+first lune query builds in O(n), and gets the full construction's corners
+and angles bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Optional
 
@@ -50,6 +56,13 @@ def _finite_point(p, message) -> Point:
     return Point(_finite(p[0], message), _finite(p[1], message))
 
 
+def _elevation(z):
+    """z as a finite float or complex, else DegenerateInputError."""
+    if isinstance(z, complex):
+        return complex(_elevation(z.real), _elevation(z.imag))
+    return _finite(z, "elevations must be finite")
+
+
 class SampleSet:
     """Immutable collection of pairwise-distinct sample sites, not all
     collinear, with one real or complex elevation per site."""
@@ -69,20 +82,15 @@ class SampleSet:
                     "sites %d and %d coincide at (%g, %g)" % (index[p], i, p.x, p.y)
                 )
             index[p] = i
-        message = "elevations must be finite"
-        self._elevations = tuple(
-            complex(_finite(z.real, message), _finite(z.imag, message)) if isinstance(z, complex)
-            else _finite(z, message)
-            for z in elevations
-        )
+        self._elevations = tuple(_elevation(z) for z in elevations)
         self._sites = tuple(pts)
         # Keyed by the stored Points; an (x, y) tuple finds the same entry.
         self._index = index
         # The site hull doubles as the collinearity check.
         self._hull = convex_hull(self._sites)
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
-        self._diagonal = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        x0, y0 = min(p.x for p in pts), min(p.y for p in pts)
+        self._box = (x0, y0, max(p.x for p in pts) - x0, max(p.y for p in pts) - y0)
+        self._diagonal = math.hypot(self._box[2], self._box[3])
 
     @property
     def sites(self):
@@ -104,6 +112,20 @@ class SampleSet:
     @property
     def diagonal(self) -> float:
         return self._diagonal
+
+    @cached_property
+    def _buckets(self):
+        """(cell size, columns, rows, {(column, row): site indices}) of a
+        grid over the bounding box with about two sites per cell, or None
+        where squared distances could under- or overflow."""
+        x0, y0, w, h = self._box
+        if not 2.0 ** -400 <= self._diagonal <= 2.0 ** 400:
+            return None
+        size = max(math.sqrt(2.0 * w * h / len(self._sites)), max(w, h) / len(self._sites))
+        cells = {}
+        for i, p in enumerate(self._sites):
+            cells.setdefault((math.floor((p.x - x0) / size), math.floor((p.y - y0) / size)), []).append(i)
+        return size, math.floor(w / size) + 1, math.floor(h / size) + 1, cells
 
 
 class WeightFunction(Enum):
@@ -196,52 +218,92 @@ def _snap(samples: SampleSet, sx: float, sy: float, candidates) -> Optional[int]
         d2 = dx * dx + dy * dy
         if best_d2 is None or d2 < best_d2 or (d2 == best_d2 and i < best):
             best, best_d2 = i, d2
-    return best if math.sqrt(best_d2) <= DEFAULT_SNAP_TOLERANCE * samples.diagonal else None
+    return best if best is not None and math.sqrt(best_d2) <= DEFAULT_SNAP_TOLERANCE * samples.diagonal else None
+
+
+def _hull_side(samples: SampleSet, p: Point) -> int:
+    """+1 if p is strictly inside the site hull, 0 on it, -1 outside."""
+    hull = [samples.sites[i] for i in samples.hull]
+    return min(orientation_sign(hull[k - 1], hull[k], p) for k in range(len(hull)))
+
+
+def _rings(samples: SampleSet, p: Point):
+    """Yield the site indices first met in the blocks of 3x3, 5x5, 9x9, ...
+    grid cells around p, each with a lower bound on the distance from p to
+    every site not yet met (None once none is left)."""
+    x0, y0, w, h = samples._box
+    size, cols, rows, cells = samples._buckets
+    u, v = p.x - x0, p.y - y0
+    c, r = (math.floor(min(max(t / size, -1.0), samples.size + 1.0)) for t in (u, v))
+    done, k, met = -1, 1, 0
+    while True:
+        new = [i for cc in range(max(c - k, 0), min(c + k, cols - 1) + 1)
+               for rr in range(max(r - k, 0), min(r + k, rows - 1) + 1)
+               if max(abs(cc - c), abs(rr - r)) > done for i in cells.get((cc, rr), ())]
+        met += len(new)
+        # The slack is far above the rounding in a site's cell or a gap.
+        reach = min(u - (c - k) * size, (c + k + 1) * size - u, v - (r - k) * size, (r + k + 1) * size - v)
+        yield new, None if met == samples.size else max(reach - 1e-9 * (w + h), 0.0)
+        done, k = k, 2 * k
 
 
 def classify_query(samples: SampleSet, s) -> QueryClass:
-    """Snap s to a site as _snap does over all sites, otherwise place s
-    exactly relative to the site hull."""
+    """Snap s to a site as _snap does over the 3x3 block of grid cells
+    around s, which holds every site within the snap radius, otherwise
+    place s exactly relative to the site hull."""
     p = _query_point(s)
-    best = _snap(samples, p.x, p.y, range(len(samples.sites)))
+    block = next(_rings(samples, p))[0] if samples._buckets is not None else range(samples.size)
+    best = _snap(samples, p.x, p.y, block)
     if best is not None:
         return QueryClass(QueryKind.COINCIDENT, best)
-    corners = samples.hull
-    on_line = False
-    for k in range(len(corners)):
-        a = samples.sites[corners[k]]
-        b = samples.sites[corners[(k + 1) % len(corners)]]
-        side = orientation_sign(a, b, p)
-        if side < 0:
-            return QueryClass(QueryKind.EXTERIOR)
-        if side == 0:
-            on_line = True
-    if on_line:
-        return QueryClass(QueryKind.ON_BOUNDARY)
-    return QueryClass(QueryKind.INTERIOR)
+    return QueryClass((QueryKind.EXTERIOR, QueryKind.ON_BOUNDARY, QueryKind.INTERIOR)[_hull_side(samples, p) + 1])
 
 
-def _inverted_images(samples: SampleSet, s):
-    sx, sy = _query_point(s)
-    images = []
-    for i, p in enumerate(samples.sites):
-        dx = p.x - sx
-        dy = p.y - sy
+def _inverted_images(samples: SampleSet, p: Point, indices) -> dict:
+    images = {}
+    for i in sorted(indices):
+        dx, dy = samples.sites[i].x - p.x, samples.sites[i].y - p.y
         d2 = dx * dx + dy * dy
         if d2 == 0.0:
             raise CoincidentQueryError("query coincides with site %d" % i, i)
-        images.append(Point(dx / d2, dy / d2))
+        images[i] = Point(dx / d2, dy / d2)
     return images
+
+
+def _clear_of(a: Point, b: Point, reach: float) -> bool:
+    """Whether the origin lies left of the line a->b, farther from it than
+    1/reach, with a relative margin of 1e-9 on each side against rounding."""
+    cross = a.x * b.y - a.y * b.x - 1e-9 * (abs(a.x * b.y) + abs(a.y * b.x))
+    return cross * reach > (1.0 + 1e-9) * math.hypot(b.x - a.x, b.y - a.y)
 
 
 def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
     """Lune angle of every neighbor of s: invert the sites in the unit
     circle about s, take the convex hull of the images, and read off its
     turning angles.  Sites whose image falls strictly inside the hull,
-    or on a hull edge (angle zero), are omitted."""
-    images = _inverted_images(samples, s)
-    corners = convex_hull(images)
-    return LuneAngleSet(tuple(sorted(zip(corners, turning_angles(images, corners)))))
+    or on a hull edge (angle zero), are omitted.
+
+    Inside the site hull the sites are inverted ring by ring (_rings)
+    until the images' hull holds the disk of radius 1/R, R the reach of
+    the rings: the images left out lie in that disk, so none is a corner."""
+    p = _query_point(s)
+    inside = samples._buckets is not None and _hull_side(samples, p) > 0
+    rings = _rings(samples, p) if inside else [(range(samples.size), None)]
+    images = {}
+    for new, reach in rings:
+        images.update(_inverted_images(samples, p, new))
+        order = sorted(images)
+        points = [images[i] for i in order]
+        if reach is None:
+            corners = convex_hull(points)
+            break
+        try:
+            corners = convex_hull(points)
+        except DegenerateInputError:
+            continue
+        if all(_clear_of(points[corners[k - 1]], points[corners[k]], reach) for k in range(len(corners))):
+            break
+    return LuneAngleSet(tuple(sorted(zip((order[c] for c in corners), turning_angles(points, corners)))))
 
 
 def weights_from_angles(angles: LuneAngleSet, weight_fn: WeightFunction = WeightFunction.TAN_HALF) -> WeightVector:
@@ -287,5 +349,5 @@ def interpolate(
 def _blend(weights: WeightVector, elevations):
     """Weighted sum of the neighbor elevations: correctly rounded by
     math.fsum for real values, plain sum once a neighbor is complex."""
-    terms = [w * elevations[i] for i, w in weights.entries]
+    terms = [w * _elevation(elevations[i]) for i, w in weights.entries]
     return sum(terms) if any(isinstance(t, complex) for t in terms) else math.fsum(terms)

@@ -9,9 +9,12 @@ through the query and one site.
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lunenn import (
     Circle,
@@ -39,6 +42,7 @@ from lunenn import (
     weights_from_angles,
 )
 from lunenn.cli import main
+from lunenn.hull import convex_hull, turning_angles
 
 SQUARE_SITES = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
 SQUARE_Z = [10.0, 20.0, 30.0, 40.0]
@@ -598,3 +602,94 @@ def test_lune_outputs_digest():
         for row in evaluate_grid(samples, GridSpec(x0, x1, y0, y1, 9, 9), method="moebius"):
             digest.update(" ".join("-" if v is None else v.hex() for v in row).encode() + b";")
     assert digest.hexdigest() == LUNE_OUTPUTS_DIGEST
+
+
+# ------------------------------------------------- the pruned neighbour search
+
+
+def _lune_angles_literal(samples, s):
+    """The paper's construction as written: invert every site about s,
+    hull all the images and read off the turning angles."""
+    images = []
+    for i, p in enumerate(samples.sites):
+        dx, dy = p.x - s[0], p.y - s[1]
+        d2 = dx * dx + dy * dy
+        if d2 == 0.0:
+            raise CoincidentQueryError("query coincides with site %d" % i, i)
+        images.append(Point(dx / d2, dy / d2))
+    corners = convex_hull(images)
+    return LuneAngleSet(tuple(sorted(zip(corners, turning_angles(images, corners)))))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (CoincidentQueryError, DegenerateInputError) as exc:
+        return type(exc).__name__, getattr(exc, "site_index", None)
+
+
+def _pruning_sites(kind, rng, scale):
+    if kind == "random":
+        sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.choice((12, 80, 400)))]
+    elif kind == "lattice":
+        side = rng.choice((3, 8, 20))
+        sites = [(float(i), float(j)) for i in range(side) for j in range(side)]
+    elif kind == "clustered":
+        sites = [(rng.gauss(0.3, 1e-3), rng.gauss(0.2, 1e-3)) for _ in range(150)]
+        sites += [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(15)]
+    else:
+        sites = [(rng.uniform(0, 1000), rng.uniform(0, 1)) for _ in range(200)]
+    return SampleSet([(x * scale, y * scale) for x, y in sites], [0.0] * len(sites))
+
+
+def _pruning_query(kind, rng, samples, eps):
+    if kind == "near-edge":
+        k = rng.randrange(len(samples.hull))
+        a, b = samples.sites[samples.hull[k - 1]], samples.sites[samples.hull[k]]
+        t = rng.random()
+        return (a.x + t * (b.x - a.x) + eps * (a.y - b.y), a.y + t * (b.y - a.y) + eps * (b.x - a.x))
+    if kind == "near-site":
+        p = samples.sites[rng.randrange(samples.size)]
+        return (p.x + eps * samples.diagonal, p.y - 0.5 * eps * samples.diagonal)
+    xs = [p.x for p in samples.sites]
+    ys = [p.y for p in samples.sites]
+    grow = 0.0 if kind == "interior" else 0.5 * (max(xs) - min(xs))
+    return (rng.uniform(min(xs) - grow, max(xs) + grow), rng.uniform(min(ys), max(ys)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@example(sites="lattice", query="near-site", seed=0, eps=0.0, k=0)
+@example(sites="random", query="interior", seed=1, eps=0.0, k=-1000)
+@given(
+    sites=st.sampled_from(("random", "lattice", "clustered", "skinny")),
+    query=st.sampled_from(("interior", "near-edge", "near-site", "outside")),
+    seed=st.integers(0, 2**32),
+    eps=st.sampled_from((0.0, 1e-13, -1e-13, 1e-11, 1e-9, -1e-9, 1e-6)),
+    k=st.one_of(st.just(0), st.integers(-600, 600), st.integers(-1000, 1000)),
+)
+def test_lune_angles_match_the_literal_construction(sites, query, seed, eps, k):
+    # Bit for bit, errors included: the search only leaves out images that
+    # cannot be corners, and the snap block holds every site that can snap.
+    rng = random.Random(seed)
+    samples = _pruning_sites(sites, rng, 2.0 ** k)
+    for _ in range(8):
+        s = _pruning_query(query, rng, samples, eps)
+        assert _outcome(lune_angles, samples, s) == _outcome(_lune_angles_literal, samples, s)
+        nearest = sys.modules["lunenn.interpolate"]._snap(samples, s[0], s[1], range(samples.size))
+        assert classify_query(samples, s).site_index == nearest
+
+
+def test_interior_query_hulls_a_small_share_of_the_sites(monkeypatch):
+    rng = random.Random(443)
+    corners = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+    sites = corners + [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(1996)]
+    samples = SampleSet(sites, [x - y for x, y in sites])
+    module = sys.modules["lunenn.interpolate"]
+    hulled = []
+    monkeypatch.setattr(module, "convex_hull", lambda points: hulled.append(len(points)) or convex_hull(points))
+    for _ in range(20):
+        s = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        hulled.clear()
+        angles = lune_angles(samples, s)
+        assert 0 < sum(hulled) < 0.1 * samples.size
+        assert angles == _lune_angles_literal(samples, s)
