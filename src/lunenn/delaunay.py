@@ -3,12 +3,16 @@
 
 The triangulation is built by Bowyer-Watson point insertion over a mesh
 that carries one ghost triangle per hull edge, so hull growth needs no
-oversized bounding triangle.  Cocircular ties are broken by a symbolic
+oversized bounding triangle.  Sites are inserted in a biased randomized
+order (Amenta, Choi & Rote 2003): shuffled by a constant seed, cut into
+rounds of doubling size, each round sorted along a Hilbert curve, so that
+point location walks a few triangles per insertion.  The order only
+steers the walks.  Cocircular ties are broken by a symbolic
 perturbation that treats lower-indexed sites as infinitesimally lifted,
 which makes the result independent of insertion order.  A triangle's
-vertex order is fixed when it is created, a destroyed triangle leaves a
-None slot, and nothing renumbers the rest; the public views are sorted
-copies, built once after the last insertion.
+vertex order is fixed when it is created; the fan of an insertion reuses
+the slots of the cavity it replaces, and nothing renumbers the rest.  The
+public views are sorted copies, built once after the last insertion.
 
 Virtual insertion computes the cavity and fan a query point would create
 without mutating the mesh, and alone places a query: the walk finds it, and
@@ -21,6 +25,7 @@ weights.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +36,50 @@ from .interpolate import SampleSet, WeightVector, _blend, _elevation, _query_poi
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
+
+#: Seed of the insertion-order shuffle: a constant, so builds repeat.
+_BRIO_SEED = 20030101
+#: Bits per axis of the Hilbert-curve key.
+_HILBERT_BITS = 16
+
+
+def _hilbert_key(x: int, y: int) -> int:
+    """Position of cell (x, y) along a Hilbert curve over the
+    2**_HILBERT_BITS square grid."""
+    key = 0
+    mask = (1 << _HILBERT_BITS) - 1
+    s = 1 << (_HILBERT_BITS - 1)
+    while s:
+        rx = 1 if x & s else 0
+        ry = 1 if y & s else 0
+        key += s * s * ((3 * rx) ^ ry)
+        if not ry:
+            if rx:
+                x ^= mask
+                y ^= mask
+            x, y = y, x
+        s >>= 1
+    return key
+
+
+def _brio_order(pts) -> list:
+    """Biased randomized insertion order of the site indices: a seeded
+    shuffle cut into rounds of doubling size, the last round the last
+    half, each round sorted by the Hilbert key of its sites quantized on
+    the bounding box."""
+    order = list(range(len(pts)))
+    random.Random(_BRIO_SEED).shuffle(order)
+    # Halved offsets stay finite even for a box spanning the double range.
+    side = 1 << _HILBERT_BITS
+    cells = []
+    for axis in (0, 1):
+        lo = min(p[axis] for p in pts) / 2
+        width = max(p[axis] for p in pts) / 2 - lo or 1.0
+        cells.append([min(side - 1, int((p[axis] / 2 - lo) / width * side)) for p in pts])
+    keys = [_hilbert_key(x, y) for x, y in zip(*cells)]
+    # Round k from the end is order[n >> (k + 1) : n >> k].
+    ends = [len(order) >> k for k in range(len(order).bit_length(), -1, -1)]
+    return [i for lo, hi in zip(ends, ends[1:]) for i in sorted(order[lo:hi], key=keys.__getitem__)]
 
 
 def _perturbed_in_disk(pa, pb, pc, pt, ia, ib, ic, it) -> bool:
@@ -86,15 +135,13 @@ class Triangulation:
 
     Triangle t is _verts[t]: CCW site indices, GHOST in slot 2 or else the
     smallest in slot 0, set at creation; _nbrs[t][e] lies across edge e
-    (vertex e to e + 1).  A destroyed triangle leaves a None slot.  The
-    public views are sorted copies, built once: triangles, the finite
-    ones, and neighbors[i][e], an index into triangles or None on the hull."""
+    (vertex e to e + 1).  Every slot holds a live triangle.  The public
+    views are sorted copies, built once: triangles, the finite ones, and
+    neighbors[i][e], an index into triangles or None on the hull."""
 
     def __init__(self, samples: SampleSet):
         self._samples = samples
         self._pts = samples.sites
-        self._verts = []
-        self._nbrs = []
         self._hint = 0
         self._build()
         self._finalize()
@@ -108,23 +155,28 @@ class Triangulation:
     # -- construction ------------------------------------------------
 
     def _build(self):
-        # SampleSet rejects collinear sites, so some k is off the line 0-1.
+        # SampleSet rejects collinear sites, so some k is off the line
+        # through the first two sites of the order.
         pts = self._pts
-        for k in range(2, len(pts)):
-            o = orientation_sign(pts[0], pts[1], pts[k])
+        order = _brio_order(pts)
+        i, j = order[0], order[1]
+        for k in order[2:]:
+            o = orientation_sign(pts[i], pts[j], pts[k])
             if o != 0:
                 break
-        a, b, c = (0, 1, k) if o > 0 else (0, k, 1)
+        a, b, c = (i, j, k) if o > 0 else (i, k, j)
         # Triangle ids: 0 finite, 1..3 ghosts for edges ab, bc, ca.
-        self._new_triangle(a, b, c, [1, 2, 3])
-        self._new_triangle(b, a, GHOST, [0, 3, 2])
-        self._new_triangle(c, b, GHOST, [0, 1, 3])
-        self._new_triangle(a, c, GHOST, [0, 2, 1])
-        for idx in range(2, len(pts)):
+        self._verts = [None] * 4
+        self._nbrs = [None] * 4
+        self._set_triangle(0, a, b, c, [1, 2, 3])
+        self._set_triangle(1, b, a, GHOST, [0, 3, 2])
+        self._set_triangle(2, c, b, GHOST, [0, 1, 3])
+        self._set_triangle(3, a, c, GHOST, [0, 2, 1])
+        for idx in order[2:]:
             if idx != k:
                 self._insert(idx)
 
-    def _new_triangle(self, u, v, w, nbrs):
+    def _set_triangle(self, t, u, v, w, nbrs):
         # The one layout: a ghost vertex in slot 2, otherwise the smallest
         # in slot 0; nbrs[e] lies across edge e and rotates with them.
         if u == GHOST or (v != GHOST and v < u and v < w):
@@ -133,8 +185,8 @@ class Triangulation:
         elif v == GHOST or (w != GHOST and w < u and w < v):
             u, v, w = w, u, v
             nbrs = [nbrs[2], nbrs[0], nbrs[1]]
-        self._verts.append([u, v, w])
-        self._nbrs.append(nbrs)
+        self._verts[t] = [u, v, w]
+        self._nbrs[t] = nbrs
 
     def _in_disk(self, t, p, pidx) -> bool:
         vs = self._verts[t]
@@ -177,13 +229,13 @@ class Triangulation:
             else:
                 self._hint = t
                 return t
-        raise AssertionError("point location did not terminate")
+        raise DegenerateInputError("mesh invariant broken: point location did not terminate")
 
     def _cavity(self, seed, p, pidx):
         # p is no vertex, so a finite seed holds it strictly inside its
         # circumdisk and a ghost seed strictly beyond its hull edge.
         if not self._in_disk(seed, p, pidx):
-            raise AssertionError("located triangle does not hold the point")
+            raise DegenerateInputError("mesh invariant broken: located triangle does not hold the point")
         visited = {seed}
         cavity = {seed}
         stack = [seed]
@@ -209,8 +261,8 @@ class Triangulation:
                 if nb not in cavity:
                     edges.append((vs[e], vs[(e + 1) % 3], nb, t))
         nxt = {u: (v, outside, inside) for u, v, outside, inside in edges}
-        if len(nxt) != len(edges):
-            raise AssertionError("cavity boundary is not a simple cycle")
+        if not edges or len(nxt) != len(edges):
+            raise DegenerateInputError("mesh invariant broken: cavity boundary is not a simple cycle")
         cycle = []
         u = edges[0][0]
         for _ in range(len(edges)):
@@ -218,7 +270,7 @@ class Triangulation:
             cycle.append((u, v, outside, inside))
             u = v
         if u != edges[0][0] or len(cycle) != len(edges):
-            raise AssertionError("cavity boundary is not a single cycle")
+            raise DegenerateInputError("mesh invariant broken: cavity boundary is not a single cycle")
         return cycle
 
     def _insert(self, idx):
@@ -226,27 +278,32 @@ class Triangulation:
         seed = self._locate(p)
         cavity = self._cavity(seed, p, idx)
         cycle = self._cavity_boundary(cavity)
-        for t in cavity:
-            self._verts[t] = self._nbrs[t] = None
+        # The cavity is a disk with every vertex on its boundary, so the fan
+        # has two triangles more: it takes the cavity's slots and two new ones.
+        k = len(cycle)
+        if k != len(cavity) + 2:
+            raise DegenerateInputError("mesh invariant broken: cavity has an interior vertex")
+        n = len(self._verts)
+        fan = [*cavity, n, n + 1]
+        self._verts += [None, None]
+        self._nbrs += [None, None]
         # Fan triangle j = (u_j, v_j, idx) meets the outside across u_j v_j,
         # fan triangle j+1 across v_j idx and fan triangle j-1 across idx u_j.
-        k = len(cycle)
-        fan = list(range(len(self._verts), len(self._verts) + k))
         for j, (u, v, outside, _) in enumerate(cycle):
-            self._new_triangle(u, v, idx, [outside, fan[(j + 1) % k], fan[j - 1]])
+            self._set_triangle(fan[j], u, v, idx, [outside, fan[(j + 1) % k], fan[j - 1]])
             ovs = self._verts[outside]
             for e in range(3):
                 if ovs[e] == v and ovs[(e + 1) % 3] == u:
                     self._nbrs[outside][e] = fan[j]
                     break
             else:
-                raise AssertionError("boundary neighbor back-link not found")
+                raise DegenerateInputError("mesh invariant broken: boundary neighbor back-link not found")
         self._hint = next(f for f, (u, v, _, _) in zip(fan, cycle) if GHOST not in (u, v))
 
     def _finalize(self):
         verts = self._verts
         finite = sorted(
-            (t for t, vs in enumerate(verts) if vs is not None and vs[2] != GHOST),
+            (t for t, vs in enumerate(verts) if vs[2] != GHOST),
             key=verts.__getitem__,
         )
         position = {t: i for i, t in enumerate(finite)}
@@ -261,7 +318,7 @@ class Triangulation:
         self._hull_prev = {}
         self._hull_next = {}
         for vs in verts:
-            if vs is not None and vs[2] == GHOST:
+            if vs[2] == GHOST:
                 head, tail, _ = vs
                 self._hull_next[tail] = head
                 self._hull_prev[head] = tail
@@ -347,9 +404,9 @@ class Triangulation:
                     break
                 t = self._nbrs[t][(slot + 2) % 3]
                 if t not in cavity:
-                    raise AssertionError("stolen-area walk left the cavity")
+                    raise DegenerateInputError("mesh invariant broken: stolen-area walk left the cavity")
             else:
-                raise AssertionError("stolen-area walk did not close")
+                raise DegenerateInputError("mesh invariant broken: stolen-area walk did not close")
             areas.append(max(0.0, _shoelace(poly)))
         total = math.fsum(areas)
         entries = sorted((cycle[j][0], areas[j] / total) for j in range(k))
@@ -397,8 +454,9 @@ def _shoelace(poly) -> float:
 
 
 def build_delaunay(samples: SampleSet) -> Triangulation:
-    """Delaunay triangulation of the sample sites; deterministic for a
-    given site order, cocircular ties included."""
+    """Delaunay triangulation of the sample sites.  The mesh depends on
+    the sites and their indices only, cocircular ties included; the
+    insertion order, a seeded biased randomized one, does not change it."""
     return Triangulation(samples)
 
 

@@ -348,6 +348,23 @@ def interpolate(
 
 def _blend(weights: WeightVector, elevations):
     """Weighted sum of the neighbor elevations: correctly rounded by
-    math.fsum for real values, plain sum once a neighbor is complex."""
-    terms = [w * _elevation(elevations[i]) for i, w in weights.entries]
-    return sum(terms) if any(isinstance(t, complex) for t in terms) else math.fsum(terms)
+    math.fsum for real values, plain sum once a neighbor is complex.  A
+    complex blend that is not finite raises DegenerateInputError."""
+    pairs = [(w, _elevation(elevations[i])) for i, w in weights.entries]
+    if any(isinstance(z, complex) for _, z in pairs):
+        value = sum(w * z for w, z in pairs)
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise DegenerateInputError("the blend of the elevations is not finite")
+        return value
+    try:
+        value = math.fsum(w * z for w, z in pairs)
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    # The weights are nonnegative and sum to one up to a few ulps, which
+    # can carry a blend of elevations near the top of the float range past
+    # it.  Half of every partial sum stays in range, and the blend, a
+    # weighted mean, lies within the range of the elevations.
+    zs = [z for _, z in pairs]
+    return min(max(2 * math.fsum(w * (0.5 * z) for w, z in pairs), min(zs)), max(zs))

@@ -2,14 +2,16 @@
 
 Each predicate first evaluates a floating-point determinant together with a
 conservative bound on its rounding error.  Only when the magnitude falls
-inside the bound does it re-evaluate in exact rational arithmetic, so the
-returned sign is always the true sign while typical inputs stay on the
-fast path.
+inside the bound does it re-evaluate exactly, in integers: every
+coordinate is multiplied by one common power of two, which makes all of
+them integral and leaves the sign of the (homogeneous) determinant as it
+was.  So the returned sign is always the true sign while typical inputs
+stay on the fast path.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .errors import DegenerateInputError
 
@@ -42,12 +44,18 @@ def orientation_sign(p, q, r) -> int:
     return _orientation_exact(p, q, r)
 
 
+def _integral(*coords):
+    """The coordinates times the least common multiple of their
+    denominators, as ints.  A float's denominator is a power of two, so
+    for floats that multiple is the largest denominator."""
+    ratios = [c.as_integer_ratio() for c in coords]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios]
+
+
 def _orientation_exact(p, q, r) -> int:
-    px, py = Fraction(p[0]), Fraction(p[1])
-    qx, qy = Fraction(q[0]), Fraction(q[1])
-    rx, ry = Fraction(r[0]), Fraction(r[1])
-    det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-    return _sign(det)
+    px, py, qx, qy, rx, ry = _integral(p[0], p[1], q[0], q[1], r[0], r[1])
+    return _sign((qx - px) * (ry - py) - (qy - py) * (rx - px))
 
 
 def incircle_sign(p, q, r, t) -> int:
@@ -98,13 +106,13 @@ def incircle_sign_unchecked(p, q, r, t) -> int:
 
 
 def _incircle_exact(p, q, r, t) -> int:
-    tx, ty = Fraction(t[0]), Fraction(t[1])
-    adx = Fraction(p[0]) - tx
-    ady = Fraction(p[1]) - ty
-    bdx = Fraction(q[0]) - tx
-    bdy = Fraction(q[1]) - ty
-    cdx = Fraction(r[0]) - tx
-    cdy = Fraction(r[1]) - ty
+    px, py, qx, qy, rx, ry, tx, ty = _integral(p[0], p[1], q[0], q[1], r[0], r[1], t[0], t[1])
+    adx = px - tx
+    ady = py - ty
+    bdx = qx - tx
+    bdy = qy - ty
+    cdx = rx - tx
+    cdy = ry - ty
     alift = adx * adx + ady * ady
     blift = bdx * bdx + bdy * bdy
     clift = cdx * cdx + cdy * cdy

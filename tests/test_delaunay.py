@@ -31,7 +31,8 @@ from lunenn import (
     sibson_weights,
     voronoi_cell_polygon,
 )
-from lunenn.delaunay import GHOST
+from lunenn import delaunay, errors
+from lunenn.delaunay import GHOST, _brio_order
 from lunenn.predicates import incircle_sign_unchecked
 
 SQUARE_SITES = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
@@ -165,6 +166,50 @@ def test_build_deterministic():
     b = build_delaunay(samples)
     assert a.triangles == b.triangles
     assert a.neighbors == b.neighbors
+
+
+def test_brio_order_is_a_fixed_permutation():
+    rng = random.Random(229)
+    sites = _random_samples(rng, n=500).sites
+    order = _brio_order(sites)
+    assert sorted(order) == list(range(500))
+    assert order != sorted(order)
+    assert _brio_order(sites) == order
+
+
+def test_build_walks_a_few_triangles_per_site(monkeypatch):
+    # In input order the walk crosses O(sqrt n) triangles per insertion
+    # (about 50 orientation tests a site at n = 2000); BRIO takes about 7.
+    calls = []
+
+    def counting(p, q, r):
+        calls.append(None)
+        return orientation_sign(p, q, r)
+
+    monkeypatch.setattr(delaunay, "orientation_sign", counting)
+    rng = random.Random(233)
+    sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2000)]
+    build_delaunay(SampleSet(sites, [0.0] * len(sites)))
+    assert len(calls) < 15 * len(sites)
+
+
+def test_build_across_the_double_range():
+    # The insertion order quantizes the sites on their bounding box: it
+    # must neither overflow on a box as wide as the doubles nor divide by
+    # a width that halving rounds to zero.
+    # The mesh equals that of the set scaled by an exact power of two
+    # into a range where the structure check's own float sums hold.
+    big = 1e308
+    tiny = 5e-324
+    for sites, k in (
+        ([(-big, -big), (big, -big), (big, big), (-big, big), (0.5, 0.25), (-3e307, 1e300)], -1000),
+        ([(0.0, 0.0), (tiny, 0.0), (0.0, 1.0), (tiny, 2.0), (0.0, 3.0)], 1000),
+    ):
+        tri = build_delaunay(SampleSet(sites, [0.0] * len(sites)))
+        scaled = SampleSet([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in sites], [0.0] * len(sites))
+        ref = build_delaunay(scaled)
+        _check_structure(scaled, ref)
+        assert (tri.triangles, tri.neighbors) == (ref.triangles, ref.neighbors)
 
 
 def test_queries_do_not_mutate():
@@ -406,6 +451,32 @@ def test_sibson_interpolate_rejects_non_finite_elevations():
     assert sibson_interpolate(tri, [1, 1, 1, 10**400, 1], (0.5, 0.1)) == 1.0
 
 
+def test_blend_of_the_largest_elevations_stays_finite():
+    # The weights sum to one plus a few ulps, so a plain fsum of these
+    # terms overflows although every convex combination is finite.
+    big = 1.7976931348623157e308
+    samples = SampleSet(SQUARE_SITES + [(0.1, 0.3)], [big] * 5)
+    tri = build_delaunay(samples)
+    rng = random.Random(239)
+    for _ in range(300):
+        q = (rng.uniform(-0.99, 0.99), rng.uniform(-0.99, 0.99))
+        for value in (interpolate(samples, q), sibson_interpolate(tri, samples.elevations, q)):
+            assert math.isfinite(value) and value >= big * (1 - 1e-15)
+    # A complex blend past the float range raises rather than return inf.
+    z = [complex(big, -big)] * 5
+    outcomes = set()
+    for _ in range(300):
+        q = (rng.uniform(-0.99, 0.99), rng.uniform(-0.99, 0.99))
+        try:
+            value = interpolate(SampleSet(samples.sites, z), q)
+        except DegenerateInputError:
+            outcomes.add("raised")
+        else:
+            assert math.isfinite(value.real) and math.isfinite(value.imag)
+            outcomes.add("finite")
+    assert outcomes == {"raised", "finite"}
+
+
 def test_sibson_monte_carlo_light():
     import numpy as np
 
@@ -561,6 +632,47 @@ def test_voronoi_rays_outward_normals():
             mid = Point((a.x + b.x) / 2, (a.y + b.y) / 2)
             outward = (mid.x - centroid_x) * ray.x + (mid.y - centroid_y) * ray.y
             assert outward > 0
+
+
+_LIBRARY_ERRORS = tuple(
+    v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
+)
+
+
+@pytest.mark.parametrize("lie", ["negative", "positive", "zero", "flipped", "random"])
+def test_broken_orientation_raises_a_library_error(monkeypatch, lie):
+    # A mesh invariant broken by a lying predicate surfaces as an error
+    # from lunenn.errors, never as AssertionError, IndexError or KeyError.
+    rng = random.Random(241)
+
+    def liar(p, q, r):
+        return {
+            "negative": -1,
+            "positive": 1,
+            "zero": 0,
+            "flipped": -orientation_sign(p, q, r),
+            "random": rng.choice((-1, 0, 1)),
+        }[lie]
+
+    for _ in range(8):
+        samples = _random_samples(rng, n=rng.randint(5, 40))
+        with monkeypatch.context() as patch:
+            patch.setattr(delaunay, "orientation_sign", liar)
+            try:
+                build_delaunay(samples)
+            except _LIBRARY_ERRORS:
+                pass
+        tri = build_delaunay(samples)
+        with monkeypatch.context() as patch:
+            patch.setattr(delaunay, "orientation_sign", liar)
+            for _ in range(5):
+                q = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+                for query in (sibson_interpolate, lune_angles_oracle):
+                    args = (tri, samples.elevations, q) if query is sibson_interpolate else (tri, q)
+                    try:
+                        query(*args)
+                    except _LIBRARY_ERRORS:
+                        pass
 
 
 # ------------------------------------------------------ pinned mesh views

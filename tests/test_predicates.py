@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lunenn import DegenerateInputError, incircle_sign, orientation_sign
-from lunenn.predicates import incircle_sign_unchecked
+from lunenn.predicates import _incircle_exact, _orientation_exact, incircle_sign_unchecked
 
 
 def _orient_reference(p, q, r):
@@ -162,6 +162,33 @@ def test_incircle_underflow_repro():
     )
     assert _incircle_reference(*pts) == 1
     assert incircle_sign_unchecked(*pts) == 1
+
+
+def test_exact_paths_match_the_rational_reference():
+    # The integer paths, called directly: random quadruples at scales
+    # across the double range, cocircular lattice quadruples, and the
+    # underflow repro.
+    rng = random.Random(43)
+    quads = []
+    for _ in range(400):
+        scale = 2.0 ** rng.randint(-1070, 1000)
+        quads.append([(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale) for _ in range(4)])
+    lattice = [(x * 0.375 - 7.0, y * 0.375 + 3.0) for x in range(4) for y in range(4)]
+    quads += [list(c) for c in itertools.combinations(lattice, 4)]
+    quads.append(
+        [
+            (8.000000000000009e-80, 2e-80),
+            (4e-80, 4e-80),
+            (2.9999999999999997e-80, 2.9999999999999997e-80),
+            (5.000000000000005e-80, -1e-80),
+        ]
+    )
+    for p, q, r, t in quads:
+        assert _orientation_exact(p, q, r) == _orient_reference(p, q, r)
+        assert _incircle_exact(p, q, r, t) == _incircle_reference(p, q, r, t)
+    # Zero signs occur on both paths.
+    assert {_incircle_exact(*quad) for quad in quads} == {-1, 0, 1}
+    assert {_orientation_exact(*quad[:3]) for quad in quads} == {-1, 0, 1}
 
 
 #: Scale exponents: where the in-circle products (about 2**(4k)) and the
