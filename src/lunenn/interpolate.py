@@ -357,14 +357,11 @@ def _blend(weights: WeightVector, elevations):
             raise DegenerateInputError("the blend of the elevations is not finite")
         return value
     try:
-        value = math.fsum(w * z for w, z in pairs)
+        return math.fsum(w * z for w, z in pairs)
     except OverflowError:
-        value = math.inf
-    if math.isfinite(value):
-        return value
-    # The weights are nonnegative and sum to one up to a few ulps, which
-    # can carry a blend of elevations near the top of the float range past
-    # it.  Half of every partial sum stays in range, and the blend, a
-    # weighted mean, lies within the range of the elevations.
-    zs = [z for _, z in pairs]
-    return min(max(2 * math.fsum(w * (0.5 * z) for w, z in pairs), min(zs)), max(zs))
+        # The weights are nonnegative and sum to one up to a few ulps,
+        # which can carry a blend of elevations near the top of the float
+        # range past it.  Half of every partial sum stays in range, and the
+        # blend, a weighted mean, lies within the range of the elevations.
+        zs = [z for _, z in pairs]
+        return min(max(2 * math.fsum(w * (0.5 * z) for w, z in pairs), min(zs)), max(zs))

@@ -196,9 +196,9 @@ def test_build_walks_a_few_triangles_per_site(monkeypatch):
 def test_build_across_the_double_range():
     # The insertion order quantizes the sites on their bounding box: it
     # must neither overflow on a box as wide as the doubles nor divide by
-    # a width that halving rounds to zero.
-    # The mesh equals that of the set scaled by an exact power of two
-    # into a range where the structure check's own float sums hold.
+    # a width that halving rounds to zero.  The mesh must equal that of
+    # the set scaled by an exact power of two into a range where the
+    # structure check's own float sums hold.
     big = 1e308
     tiny = 5e-324
     for sites, k in (
@@ -644,16 +644,13 @@ def test_broken_orientation_raises_a_library_error(monkeypatch, lie):
     # A mesh invariant broken by a lying predicate surfaces as an error
     # from lunenn.errors, never as AssertionError, IndexError or KeyError.
     rng = random.Random(241)
-
-    def liar(p, q, r):
-        return {
-            "negative": -1,
-            "positive": 1,
-            "zero": 0,
-            "flipped": -orientation_sign(p, q, r),
-            "random": rng.choice((-1, 0, 1)),
-        }[lie]
-
+    liar = {
+        "negative": lambda p, q, r: -1,
+        "positive": lambda p, q, r: 1,
+        "zero": lambda p, q, r: 0,
+        "flipped": lambda p, q, r: -orientation_sign(p, q, r),
+        "random": lambda p, q, r: rng.choice((-1, 0, 1)),
+    }[lie]
     for _ in range(8):
         samples = _random_samples(rng, n=rng.randint(5, 40))
         with monkeypatch.context() as patch:
@@ -667,10 +664,12 @@ def test_broken_orientation_raises_a_library_error(monkeypatch, lie):
             patch.setattr(delaunay, "orientation_sign", liar)
             for _ in range(5):
                 q = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-                for query in (sibson_interpolate, lune_angles_oracle):
-                    args = (tri, samples.elevations, q) if query is sibson_interpolate else (tri, q)
+                for query in (
+                    lambda: sibson_interpolate(tri, samples.elevations, q),
+                    lambda: lune_angles_oracle(tri, q),
+                ):
                     try:
-                        query(*args)
+                        query()
                     except _LIBRARY_ERRORS:
                         pass
 
