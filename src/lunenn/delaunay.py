@@ -31,8 +31,7 @@ from typing import Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, circle_angle_at_common_point, circumcircle
-from .interpolate import LuneAngleSet, QueryClass, QueryKind
-from .interpolate import SampleSet, WeightVector, _blend, _elevation, _query_point, _snap
+from .interpolate import LuneAngleSet, SampleSet, WeightVector, _blend, _elevation, _query_point, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -232,34 +231,30 @@ class Triangulation:
         raise DegenerateInputError("mesh invariant broken: point location did not terminate")
 
     def _cavity(self, seed, p, pidx):
+        """(cavity, cycle): the triangles whose circumdisk holds p, by a
+        depth-first search from seed, and the boundary edges (u, v, triangle
+        outside, triangle inside) it meets, chained into the CCW cycle."""
         # p is no vertex, so a finite seed holds it strictly inside its
         # circumdisk and a ghost seed strictly beyond its hull edge.
         if not self._in_disk(seed, p, pidx):
             raise DegenerateInputError("mesh invariant broken: located triangle does not hold the point")
-        visited = {seed}
         cavity = {seed}
+        rejected = set()
+        edges = []
         stack = [seed]
         while stack:
             t = stack.pop()
-            for nb in self._nbrs[t]:
-                if nb in visited:
-                    continue
-                visited.add(nb)
-                if self._in_disk(nb, p, pidx):
-                    cavity.add(nb)
-                    stack.append(nb)
-        return cavity
-
-    def _cavity_boundary(self, cavity):
-        """Directed boundary edges (u, v, triangle outside, triangle
-        inside) chained into the CCW cycle around the cavity."""
-        edges = []
-        for t in cavity:
             vs = self._verts[t]
-            for e in range(3):
-                nb = self._nbrs[t][e]
-                if nb not in cavity:
-                    edges.append((vs[e], vs[(e + 1) % 3], nb, t))
+            for e, nb in enumerate(self._nbrs[t]):
+                if nb in cavity:
+                    continue
+                if nb not in rejected:
+                    if self._in_disk(nb, p, pidx):
+                        cavity.add(nb)
+                        stack.append(nb)
+                        continue
+                    rejected.add(nb)
+                edges.append((vs[e], vs[(e + 1) % 3], nb, t))
         nxt = {u: (v, outside, inside) for u, v, outside, inside in edges}
         if not edges or len(nxt) != len(edges):
             raise DegenerateInputError("mesh invariant broken: cavity boundary is not a simple cycle")
@@ -271,13 +266,12 @@ class Triangulation:
             u = v
         if u != edges[0][0] or len(cycle) != len(edges):
             raise DegenerateInputError("mesh invariant broken: cavity boundary is not a single cycle")
-        return cycle
+        return cavity, cycle
 
     def _insert(self, idx):
         p = self._pts[idx]
         seed = self._locate(p)
-        cavity = self._cavity(seed, p, idx)
-        cycle = self._cavity_boundary(cavity)
+        cavity, cycle = self._cavity(seed, p, idx)
         # The cavity is a disk with every vertex on its boundary, so the fan
         # has two triangles more: it takes the cavity's slots and two new ones.
         k = len(cycle)
@@ -325,40 +319,26 @@ class Triangulation:
 
     # -- virtual insertion -------------------------------------------
 
-    def _place(self, s):
-        """(QueryClass, point, cavity, cycle) of s from the walk and the
-        cavity of its virtual insertion; cavity and cycle are None for a
-        query exactly on a site.  The class is classify_query's unless
+    def _virtual_cavity(self, s):
+        """(point, cavity, cycle) of the virtual insertion of s.  A query
+        that snaps to a site raises CoincidentQueryError, one on or outside
+        the site hull OutsideDomainError: classify_query's outcome unless
         rounding ties or reorders the squared distances of sites almost
         equally far from s."""
         p = _query_point(s)
         i = self._samples._index.get(p)
+        if i is None:
+            t = self._locate(p)
+            cavity, cycle = self._cavity(t, p, len(self._pts))
+            # Every site nearest to p borders the cavity: the circle on
+            # diameter p-q holds no other site.
+            i = _snap(self._samples, p.x, p.y, (u for u, _, _, _ in cycle if u != GHOST))
         if i is not None:
-            return QueryClass(QueryKind.COINCIDENT, i), p, None, None
-        t = self._locate(p)
-        cavity = self._cavity(t, p, len(self._pts))
-        cycle = self._cavity_boundary(cavity)
-        # Every site nearest to p borders the cavity: the circle on
-        # diameter p-q holds no other site.
-        sites = (u for u, _, _, _ in cycle if u != GHOST)
-        best = _snap(self._samples, p.x, p.y, sites)
-        if best is not None:
-            cls = QueryClass(QueryKind.COINCIDENT, best)
-        elif self._verts[t][2] == GHOST:
-            cls = QueryClass(QueryKind.EXTERIOR)
-        elif any(self._verts[c][2] == GHOST for c in cavity):
-            cls = QueryClass(QueryKind.ON_BOUNDARY)
-        else:
-            cls = QueryClass(QueryKind.INTERIOR)
-        return cls, p, cavity, cycle
-
-    def _virtual_cavity(self, s):
-        cls, p, cavity, cycle = self._place(s)
-        if cls.kind is QueryKind.COINCIDENT:
-            raise CoincidentQueryError("query coincides with site %d" % cls.site_index, cls.site_index)
-        if cls.kind is not QueryKind.INTERIOR:
-            where = "outside" if cls.kind is QueryKind.EXTERIOR else "on or outside"
-            raise OutsideDomainError("query lies %s the site hull" % where)
+            raise CoincidentQueryError("query coincides with site %d" % i, i)
+        if self._verts[t][2] == GHOST:
+            raise OutsideDomainError("query lies outside the site hull")
+        if any(self._verts[c][2] == GHOST for c in cavity):
+            raise OutsideDomainError("query lies on or outside the site hull")
         return p, cavity, cycle
 
     def lune_angles_oracle(self, s) -> LuneAngleSet:

@@ -221,16 +221,14 @@ def _snap(samples: SampleSet, sx: float, sy: float, candidates) -> Optional[int]
     return best if best is not None and math.sqrt(best_d2) <= DEFAULT_SNAP_TOLERANCE * samples.diagonal else None
 
 
-def _hull_side(samples: SampleSet, p: Point) -> int:
-    """+1 if p is strictly inside the site hull, 0 on it, -1 outside."""
-    hull = [samples.sites[i] for i in samples.hull]
-    return min(orientation_sign(hull[k - 1], hull[k], p) for k in range(len(hull)))
-
-
 def _rings(samples: SampleSet, p: Point):
     """Yield the site indices first met in the blocks of 3x3, 5x5, 9x9, ...
     grid cells around p, each with a lower bound on the distance from p to
-    every site not yet met (None once none is left)."""
+    every site not yet met (None once none is left).  Without a grid
+    every site comes at once."""
+    if samples._buckets is None:
+        yield range(samples.size), None
+        return
     x0, y0, w, h = samples._box
     size, cols, rows, cells = samples._buckets
     u, v = p.x - x0, p.y - y0
@@ -252,11 +250,12 @@ def classify_query(samples: SampleSet, s) -> QueryClass:
     around s, which holds every site within the snap radius, otherwise
     place s exactly relative to the site hull."""
     p = _query_point(s)
-    block = next(_rings(samples, p))[0] if samples._buckets is not None else range(samples.size)
-    best = _snap(samples, p.x, p.y, block)
+    best = _snap(samples, p.x, p.y, next(_rings(samples, p))[0])
     if best is not None:
         return QueryClass(QueryKind.COINCIDENT, best)
-    return QueryClass((QueryKind.EXTERIOR, QueryKind.ON_BOUNDARY, QueryKind.INTERIOR)[_hull_side(samples, p) + 1])
+    hull = [samples.sites[i] for i in samples.hull]
+    side = min(orientation_sign(hull[k - 1], hull[k], p) for k in range(len(hull)))
+    return QueryClass((QueryKind.EXTERIOR, QueryKind.ON_BOUNDARY, QueryKind.INTERIOR)[side + 1])
 
 
 def _inverted_images(samples: SampleSet, p: Point, indices) -> dict:
@@ -283,26 +282,27 @@ def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
     turning angles.  Sites whose image falls strictly inside the hull,
     or on a hull edge (angle zero), are omitted.
 
-    Inside the site hull the sites are inverted ring by ring (_rings)
-    until the images' hull holds the disk of radius 1/R, R the reach of
-    the rings: the images left out lie in that disk, so none is a corner."""
+    The sites are inverted ring by ring (_rings) until the images' hull
+    holds the disk of radius 1/R, R the reach of the rings: the images
+    left out lie in that disk, so none is a corner.  A point inside or on
+    the hull of a subset is no corner, so only a ring's corners go on.
+    For s on or outside the site hull every site is reached: the origin
+    is then not strictly inside the images' hull."""
     p = _query_point(s)
-    inside = samples._buckets is not None and _hull_side(samples, p) > 0
-    rings = _rings(samples, p) if inside else [(range(samples.size), None)]
     images = {}
-    for new, reach in rings:
+    for new, reach in _rings(samples, p):
         images.update(_inverted_images(samples, p, new))
         order = sorted(images)
         points = [images[i] for i in order]
-        if reach is None:
-            corners = convex_hull(points)
-            break
         try:
             corners = convex_hull(points)
         except DegenerateInputError:
+            if reach is None:
+                raise
             continue
-        if all(_clear_of(points[corners[k - 1]], points[corners[k]], reach) for k in range(len(corners))):
+        if reach is None or all(_clear_of(points[corners[k - 1]], points[corners[k]], reach) for k in range(len(corners))):
             break
+        images = {order[c]: points[c] for c in corners}
     return LuneAngleSet(tuple(sorted(zip((order[c] for c in corners), turning_angles(points, corners)))))
 
 
@@ -347,15 +347,16 @@ def interpolate(
 
 
 def _blend(weights: WeightVector, elevations):
-    """Weighted sum of the neighbor elevations: correctly rounded by
-    math.fsum for real values, plain sum once a neighbor is complex.  A
-    complex blend that is not finite raises DegenerateInputError."""
+    """Weighted sum of the neighbor elevations, correctly rounded by
+    math.fsum; complex elevations blend their real and imaginary parts
+    apart, each as a real one."""
     pairs = [(w, _elevation(elevations[i])) for i, w in weights.entries]
     if any(isinstance(z, complex) for _, z in pairs):
-        value = sum(w * z for w, z in pairs)
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise DegenerateInputError("the blend of the elevations is not finite")
-        return value
+        return complex(_mean([(w, z.real) for w, z in pairs]), _mean([(w, z.imag) for w, z in pairs]))
+    return _mean(pairs)
+
+
+def _mean(pairs) -> float:
     try:
         return math.fsum(w * z for w, z in pairs)
     except OverflowError:

@@ -2,6 +2,9 @@
 byte-level determinism."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -233,3 +236,24 @@ def test_eval_output_roundtrips_exactly(square, capsys):
 
     samples = load_samples_csv(square)
     assert float(first) == interpolate(samples, (0.125, 0.25))
+
+
+def test_runtime_imports_only_the_standard_library():
+    # Site hooks can load third-party modules before any code runs, so only
+    # the top-level modules that importing lunenn adds are checked.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import lunenn, lunenn.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - {'lunenn'} - set(sys.stdlib_module_names)))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert child.stdout == "[]\n"

@@ -186,13 +186,13 @@ def test_evaluate_grid_sibson_places_each_cell_once(monkeypatch):
     )
     spec = GridSpec(-2, 2, -2, 2, 9, 9)
     calls = []
-    place = Triangulation._place
+    place = Triangulation._virtual_cavity
 
     def counted(self, *args):
         calls.append(args)
         return place(self, *args)
 
-    monkeypatch.setattr(Triangulation, "_place", counted)
+    monkeypatch.setattr(Triangulation, "_virtual_cavity", counted)
     evaluate_grid(samples, spec, method="sibson")
     assert len(calls) == spec.nx * spec.ny
 

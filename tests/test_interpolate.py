@@ -272,7 +272,7 @@ _NON_FINITE_CALLS = {
     "sibson_interpolate": lambda sq: sibson_interpolate(build_delaunay(sq), sq.elevations, (_NAN, 0.0)),
     "sibson_weights": lambda sq: sibson_weights(build_delaunay(sq), (0.0, -_INF)),
     "lune_angles_oracle": lambda sq: lune_angles_oracle(build_delaunay(sq), (_INF, _INF)),
-    "Triangulation._place": lambda sq: build_delaunay(sq)._place((_NAN, _NAN)),
+    "Triangulation._virtual_cavity": lambda sq: build_delaunay(sq)._virtual_cavity((_NAN, _NAN)),
     "evaluate_grid": lambda sq: evaluate_grid(sq, GridSpec(-_INF, _INF, -1, 1, 4, 4)),
 }
 
@@ -330,8 +330,8 @@ def test_complex_elevations_componentwise():
     s = _random_interior_query(rng, both)
     value = interpolate(both, s)
     assert isinstance(value, complex)
-    assert abs(value.real - interpolate(SampleSet(sites, re), s)) <= 1e-14
-    assert abs(value.imag - interpolate(SampleSet(sites, im), s)) <= 1e-14
+    assert value.real.hex() == interpolate(SampleSet(sites, re), s).hex()
+    assert value.imag.hex() == interpolate(SampleSet(sites, im), s).hex()
 
 
 def test_harmonic_value_on_dense_circle():
@@ -692,4 +692,28 @@ def test_interior_query_hulls_a_small_share_of_the_sites(monkeypatch):
         hulled.clear()
         angles = lune_angles(samples, s)
         assert 0 < sum(hulled) < 0.1 * samples.size
+        assert angles == _lune_angles_literal(samples, s)
+
+
+@pytest.mark.parametrize("kind", ["interior", "near-hull", "exterior"])
+def test_every_query_hulls_about_n_points(monkeypatch, kind):
+    # A ring hands on only its hull's corners, so a query that reaches
+    # every site (near the hull or past it) hulls about n points in all.
+    rng = random.Random(449)
+    corners = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+    sites = corners + [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(1996)]
+    samples = SampleSet(sites, [x - y for x, y in sites])
+    module = sys.modules["lunenn.interpolate"]
+    hulled = []
+    monkeypatch.setattr(module, "convex_hull", lambda points: hulled.append(len(points)) or convex_hull(points))
+    for _ in range(10):
+        side = rng.choice((-1.0, 1.0))
+        s = {
+            "interior": (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
+            "near-hull": (rng.uniform(-1, 1), side * rng.uniform(0.995, 0.9999)),
+            "exterior": (rng.uniform(-3, 3), side * rng.uniform(1.01, 3)),
+        }[kind]
+        hulled.clear()
+        angles = lune_angles(samples, s)
+        assert 0 < sum(hulled) <= 1.1 * samples.size
         assert angles == _lune_angles_literal(samples, s)
