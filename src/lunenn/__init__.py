@@ -20,103 +20,41 @@ from .errors import (
     OutsideDomainError,
     PreconditionError,
 )
-from .experiments import (
-    ExperimentReport,
-    HARMONIC_FUNCTIONS,
-    circle_samples,
-    experiment_harmonic,
-    experiment_invariance,
-    invariance_trial,
-)
-from .fileio import GridSpec, evaluate_grid, load_samples_csv, write_pgm
-from .geometry import (
-    AT_INFINITY,
-    Circle,
-    Point,
-    circle_angle_at_common_point,
-    circumcircle,
-    invert_point,
-    is_infinite,
-)
-from .hull import convex_hull, turning_angles
 from .interpolate import (
-    DEFAULT_SNAP_TOLERANCE,
     LuneAngleSet,
-    QueryClass,
-    QueryKind,
     SampleSet,
     WeightFunction,
     WeightVector,
-    classify_query,
     interpolate,
     lune_angles,
     weights_from_angles,
-)
-from .moebius import (
-    IDENTITY,
-    MoebiusMap,
-    moebius_apply,
-    moebius_compose,
-    moebius_from_inversion,
-    moebius_pole,
-    random_moebius,
 )
 from .predicates import incircle_sign, orientation_sign
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AT_INFINITY",
-    "Circle",
     "CoincidentQueryError",
     "CsvFormatError",
-    "DEFAULT_SNAP_TOLERANCE",
     "DegenerateBoundaryError",
     "DegenerateInputError",
-    "ExperimentReport",
     "GeneratorExhaustedError",
-    "GridSpec",
-    "HARMONIC_FUNCTIONS",
-    "IDENTITY",
     "LuneAngleSet",
-    "MoebiusMap",
     "OutsideDomainError",
-    "Point",
     "PreconditionError",
-    "QueryClass",
-    "QueryKind",
     "SampleSet",
     "Triangulation",
     "VoronoiCell",
     "WeightFunction",
     "WeightVector",
     "build_delaunay",
-    "circle_angle_at_common_point",
-    "circle_samples",
-    "circumcircle",
-    "classify_query",
-    "convex_hull",
-    "evaluate_grid",
-    "experiment_harmonic",
-    "experiment_invariance",
     "incircle_sign",
     "interpolate",
-    "invariance_trial",
-    "invert_point",
-    "is_infinite",
-    "load_samples_csv",
     "lune_angles",
     "lune_angles_oracle",
-    "moebius_apply",
-    "moebius_compose",
-    "moebius_from_inversion",
-    "moebius_pole",
     "orientation_sign",
-    "random_moebius",
     "sibson_interpolate",
     "sibson_weights",
-    "turning_angles",
     "voronoi_cell_polygon",
     "weights_from_angles",
-    "write_pgm",
 ]

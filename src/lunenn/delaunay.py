@@ -129,8 +129,9 @@ class VoronoiCell:
 
 class Triangulation:
     """Delaunay triangulation of a SampleSet.  Build through
-    build_delaunay; afterwards the structure is read-only and all queries
-    (virtual insertion included) leave it untouched.
+    build_delaunay; afterwards the mesh is read-only.  A query (virtual
+    insertion included) moves only _hint, the walk's start triangle, on
+    which no result depends.
 
     Triangle t is _verts[t]: CCW site indices, GHOST in slot 2 or else the
     smallest in slot 0, set at creation; _nbrs[t][e] lies across edge e

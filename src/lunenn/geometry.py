@@ -1,4 +1,4 @@
-"""Points, circles, and circle inversion in the plane."""
+"""Points, circles and the point at infinity of the extended plane."""
 
 from __future__ import annotations
 
@@ -49,22 +49,6 @@ class Circle:
             raise DegenerateInputError("circle radius must be finite and positive")
         if not (math.isfinite(self.center.x) and math.isfinite(self.center.y)):
             raise DegenerateInputError("circle center must be finite")
-
-
-def invert_point(circle: Circle, p: ExtendedPoint) -> ExtendedPoint:
-    """Invert p in the circle: the image lies on the same ray from the
-    center with |cp| * |cp'| = r^2.  The exact center maps to AT_INFINITY
-    and AT_INFINITY maps to the center.
-    """
-    if is_infinite(p):
-        return circle.center
-    cx, cy = circle.center
-    dx = p[0] - cx
-    dy = p[1] - cy
-    if dx == 0.0 and dy == 0.0:
-        return AT_INFINITY
-    scale = circle.radius * circle.radius / (dx * dx + dy * dy)
-    return Point(cx + scale * dx, cy + scale * dy)
 
 
 def circumcircle(p, q, r) -> Circle:

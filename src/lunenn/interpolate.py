@@ -303,7 +303,10 @@ def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
         if reach is None or all(_clear_of(points[corners[k - 1]], points[corners[k]], reach) for k in range(len(corners))):
             break
         images = {order[c]: points[c] for c in corners}
-    return LuneAngleSet(tuple(sorted(zip((order[c] for c in corners), turning_angles(points, corners)))))
+    angles = turning_angles(points, corners)
+    if not all(map(math.isfinite, angles)):
+        raise DegenerateInputError("lune angles left the float range")
+    return LuneAngleSet(tuple(sorted(zip((order[c] for c in corners), angles))))
 
 
 def weights_from_angles(angles: LuneAngleSet, weight_fn: WeightFunction = WeightFunction.TAN_HALF) -> WeightVector:

@@ -1,15 +1,19 @@
 """End-to-end command-line behavior: output formats, exit codes, and
 byte-level determinism."""
 
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import lunenn
 from lunenn.cli import main
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SQUARE_CSV = "x,y,z\n-1,-1,10\n1,-1,20\n1,1,30\n-1,1,40\n"
 
 
@@ -232,28 +236,83 @@ def test_eval_output_roundtrips_exactly(square, capsys):
     main(["eval", "--samples", square, "--at", "0.125,0.25"])
     assert capsys.readouterr().out == first
     # 17 significant digits reproduce the double exactly.
-    from lunenn import interpolate, load_samples_csv
+    from lunenn import interpolate
+    from lunenn.fileio import load_samples_csv
 
     samples = load_samples_csv(square)
     assert float(first) == interpolate(samples, (0.125, 0.25))
 
 
-def test_runtime_imports_only_the_standard_library():
-    # Site hooks can load third-party modules before any code runs, so only
-    # the top-level modules that importing lunenn adds are checked.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+def _modules_added_by(statement):
+    """The modules that running statement adds to sys.modules in a fresh
+    interpreter that imports lunenn from this checkout."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import lunenn, lunenn.cli\n"
-        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
-        "print(sorted(added - {'lunenn'} - set(sys.stdlib_module_names)))\n"
+        "%s\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n" % statement
     )
     child = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert child.stdout == "[]\n"
+    return child.stdout.split()
+
+
+def test_runtime_imports_only_the_standard_library():
+    # Site hooks can load third-party modules before any code runs, so only
+    # the top-level modules that importing lunenn adds are checked.
+    added = {name.partition(".")[0] for name in _modules_added_by("import lunenn, lunenn.cli")}
+    assert sorted(added - {"lunenn"} - set(sys.stdlib_module_names)) == []
+
+
+def test_package_namespace_is_the_documented_api():
+    loaded = [name for name in _modules_added_by("import lunenn") if name.partition(".")[0] == "lunenn"]
+    assert loaded == [
+        "lunenn",
+        "lunenn.delaunay",
+        "lunenn.errors",
+        "lunenn.geometry",
+        "lunenn.hull",
+        "lunenn.interpolate",
+        "lunenn.predicates",
+    ]
+    assert sorted(lunenn.__all__) == [
+        "CoincidentQueryError",
+        "CsvFormatError",
+        "DegenerateBoundaryError",
+        "DegenerateInputError",
+        "GeneratorExhaustedError",
+        "LuneAngleSet",
+        "OutsideDomainError",
+        "PreconditionError",
+        "SampleSet",
+        "Triangulation",
+        "VoronoiCell",
+        "WeightFunction",
+        "WeightVector",
+        "build_delaunay",
+        "incircle_sign",
+        "interpolate",
+        "lune_angles",
+        "lune_angles_oracle",
+        "orientation_sign",
+        "sibson_interpolate",
+        "sibson_weights",
+        "voronoi_cell_polygon",
+        "weights_from_angles",
+    ]
+    for name in lunenn.__all__:
+        assert hasattr(lunenn, name), name
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as readme:
+        (block,) = re.findall(r"```python\n(.*?)```", readme.read(), re.S)
+    documented = {
+        alias.name
+        for stmt in ast.parse(block).body
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "lunenn"
+        for alias in stmt.names
+    }
+    assert documented and documented <= set(lunenn.__all__)

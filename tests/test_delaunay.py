@@ -16,13 +16,9 @@ from lunenn import (
     CoincidentQueryError,
     DegenerateInputError,
     OutsideDomainError,
-    Point,
     PreconditionError,
-    QueryKind,
     SampleSet,
     build_delaunay,
-    classify_query,
-    convex_hull,
     interpolate,
     lune_angles,
     lune_angles_oracle,
@@ -33,6 +29,9 @@ from lunenn import (
 )
 from lunenn import delaunay, errors
 from lunenn.delaunay import GHOST, _brio_order
+from lunenn.geometry import Point
+from lunenn.hull import convex_hull
+from lunenn.interpolate import QueryKind, classify_query
 from lunenn.predicates import incircle_sign_unchecked
 
 SQUARE_SITES = [(-1, -1), (1, -1), (1, 1), (-1, 1)]

@@ -5,20 +5,16 @@ import random
 
 import pytest
 
-from lunenn import (
-    Circle,
-    IDENTITY,
-    OutsideDomainError,
-    Point,
-    PreconditionError,
-    SampleSet,
+from lunenn import OutsideDomainError, PreconditionError, SampleSet
+from lunenn.experiments import (
+    HARMONIC_FUNCTIONS,
     circle_samples,
     experiment_harmonic,
     experiment_invariance,
     invariance_trial,
-    moebius_from_inversion,
 )
-from lunenn.experiments import HARMONIC_FUNCTIONS
+from lunenn.geometry import Circle, Point
+from lunenn.moebius import IDENTITY, moebius_from_inversion
 
 
 def test_harmonic_functions_satisfy_mean_value_property():

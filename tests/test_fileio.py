@@ -8,18 +8,14 @@ import pytest
 from lunenn import (
     CsvFormatError,
     DegenerateInputError,
-    GridSpec,
-    QueryKind,
     SampleSet,
     Triangulation,
     build_delaunay,
-    classify_query,
-    evaluate_grid,
     interpolate,
-    load_samples_csv,
     sibson_interpolate,
-    write_pgm,
 )
+from lunenn.fileio import GridSpec, evaluate_grid, load_samples_csv, write_pgm
+from lunenn.interpolate import QueryKind, classify_query
 
 SQUARE_CSV = "x,y,z\n-1,-1,10\n1,-1,20\n1,1,30\n-1,1,40\n"
 

@@ -6,35 +6,34 @@ import random
 
 import pytest
 
-from lunenn import (
+from lunenn.errors import DegenerateInputError, PreconditionError
+from lunenn.geometry import (
     AT_INFINITY,
     Circle,
-    DegenerateInputError,
     Point,
-    PreconditionError,
     circle_angle_at_common_point,
     circumcircle,
-    invert_point,
     is_infinite,
 )
+from lunenn.moebius import moebius_apply, moebius_from_inversion
 
 
 def test_invert_unit_circle_cases():
-    unit = Circle(Point(0, 0), 1.0)
-    assert invert_point(unit, Point(2, 0)) == Point(0.5, 0)
-    assert invert_point(unit, Point(0, 1)) == Point(0, 1)
-    assert is_infinite(invert_point(unit, Point(0, 0)))
+    unit = moebius_from_inversion(Circle(Point(0, 0), 1.0))
+    assert moebius_apply(unit, Point(2, 0)) == Point(0.5, 0)
+    assert moebius_apply(unit, Point(0, 1)) == Point(0, 1)
+    assert is_infinite(moebius_apply(unit, Point(0, 0)))
 
 
 def test_invert_off_center_circle():
-    c = Circle(Point(1, 0), 2.0)
-    assert invert_point(c, Point(3, 0)) == Point(3, 0)
-    assert invert_point(c, Point(2, 0)) == Point(5, 0)
+    c = moebius_from_inversion(Circle(Point(1, 0), 2.0))
+    assert moebius_apply(c, Point(3, 0)) == Point(3, 0)
+    assert moebius_apply(c, Point(2, 0)) == Point(5, 0)
 
 
 def test_invert_infinity_to_center():
-    c = Circle(Point(1, -2), 3.0)
-    assert invert_point(c, AT_INFINITY) == Point(1, -2)
+    c = moebius_from_inversion(Circle(Point(1, -2), 3.0))
+    assert moebius_apply(c, AT_INFINITY) == Point(1, -2)
 
 
 def test_inversion_involution():
@@ -47,7 +46,8 @@ def test_inversion_involution():
         p = Point(rng.uniform(-4, 4), rng.uniform(-4, 4))
         if p == c.center:
             continue
-        q = invert_point(c, invert_point(c, p))
+        m = moebius_from_inversion(c)
+        q = moebius_apply(m, moebius_apply(m, p))
         scale = max(1.0, abs(p.x), abs(p.y))
         assert abs(q.x - p.x) <= 1e-12 * scale
         assert abs(q.y - p.y) <= 1e-12 * scale
@@ -60,7 +60,7 @@ def test_inversion_fixes_circle_points():
         r = rng.uniform(0.3, 3.0)
         t = rng.uniform(0, 2 * math.pi)
         p = Point(center.x + r * math.cos(t), center.y + r * math.sin(t))
-        q = invert_point(Circle(center, r), p)
+        q = moebius_apply(moebius_from_inversion(Circle(center, r)), p)
         assert math.hypot(q.x - p.x, q.y - p.y) <= 1e-12 * max(1.0, r)
 
 
@@ -72,7 +72,7 @@ def test_inversion_product_of_distances():
         p = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
         if p == center:
             continue
-        q = invert_point(Circle(center, r), p)
+        q = moebius_apply(moebius_from_inversion(Circle(center, r)), p)
         d1 = math.hypot(p.x - center.x, p.y - center.y)
         d2 = math.hypot(q.x - center.x, q.y - center.y)
         assert abs(d1 * d2 - r * r) <= 1e-10 * r * r

@@ -5,13 +5,9 @@ import random
 
 import pytest
 
-from lunenn import (
-    DegenerateInputError,
-    Point,
-    convex_hull,
-    orientation_sign,
-    turning_angles,
-)
+from lunenn import DegenerateInputError, orientation_sign
+from lunenn.geometry import Point
+from lunenn.hull import convex_hull, turning_angles
 
 SQUARE = [Point(-1, -1), Point(1, -1), Point(1, 1), Point(-1, 1)]
 

@@ -17,32 +17,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lunenn import (
-    Circle,
     CoincidentQueryError,
     DegenerateBoundaryError,
     DegenerateInputError,
-    GridSpec,
     LuneAngleSet,
     OutsideDomainError,
-    Point,
-    QueryKind,
     SampleSet,
     WeightFunction,
     build_delaunay,
-    classify_query,
-    evaluate_grid,
     interpolate,
     lune_angles,
     lune_angles_oracle,
-    moebius_apply,
-    moebius_from_inversion,
-    random_moebius,
     sibson_interpolate,
     sibson_weights,
     weights_from_angles,
 )
 from lunenn.cli import main
+from lunenn.fileio import GridSpec, evaluate_grid
+from lunenn.geometry import Circle, Point
 from lunenn.hull import convex_hull, turning_angles
+from lunenn.interpolate import QueryKind, classify_query
+from lunenn.moebius import moebius_apply, moebius_from_inversion, random_moebius
 
 SQUARE_SITES = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
 SQUARE_Z = [10.0, 20.0, 30.0, 40.0]
@@ -308,6 +303,18 @@ def test_int_too_large_for_a_float_is_a_domain_error():
         SampleSet([(0, 0), (1, 0), (0, huge)], [0.0] * 3)
     with pytest.raises(DegenerateInputError, match="elevations must be finite"):
         SampleSet([(0, 0), (1, 0), (0, 1)], [0.0, -huge, 0.0])
+
+
+def test_lune_query_whose_angles_leave_the_float_range_raises():
+    # At scale 1e-160 the inverted images lie near 1e160, so the turning
+    # angles' cross products overflow to inf - inf: NaN, which must raise.
+    rng = random.Random(0)
+    sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(30)]
+    c = 1e-160
+    samples = SampleSet([(x * c, y * c) for x, y in sites], [x + 2 * y for x, y in sites])
+    for call in (interpolate, lune_angles):
+        with pytest.raises(DegenerateInputError, match="lune angles left the float range"):
+            call(samples, (0.1 * c, -0.05 * c))
 
 
 def test_convex_combination_bounds():

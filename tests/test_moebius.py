@@ -6,25 +6,25 @@ import random
 
 import pytest
 
-from lunenn import (
+from lunenn.errors import DegenerateInputError, GeneratorExhaustedError
+from lunenn.geometry import (
     AT_INFINITY,
     Circle,
-    DegenerateInputError,
-    GeneratorExhaustedError,
-    IDENTITY,
-    MoebiusMap,
     Point,
     circle_angle_at_common_point,
     circumcircle,
-    incircle_sign,
-    invert_point,
     is_infinite,
+)
+from lunenn.moebius import (
+    IDENTITY,
+    MoebiusMap,
     moebius_apply,
     moebius_compose,
     moebius_from_inversion,
     moebius_pole,
     random_moebius,
 )
+from lunenn.predicates import incircle_sign
 
 
 def _random_map(rng):
@@ -54,7 +54,11 @@ def test_inversion_map_matches_invert_point():
         p = Point(rng.uniform(-4, 4), rng.uniform(-4, 4))
         if p == circle.center:
             continue
-        expect = invert_point(circle, p)
+        # The inverse of p lies on the ray from c with |cp| * |cp'| = r^2.
+        (cx, cy), r = circle.center, circle.radius
+        dx, dy = p.x - cx, p.y - cy
+        scale = r * r / (dx * dx + dy * dy)
+        expect = Point(cx + scale * dx, cy + scale * dy)
         got = moebius_apply(m, p)
         assert math.hypot(got.x - expect.x, got.y - expect.y) <= 1e-11 * max(
             1.0, abs(expect.x), abs(expect.y)
