@@ -3,16 +3,17 @@
 
 The triangulation is built by Bowyer-Watson point insertion over a mesh
 that carries one ghost triangle per hull edge, so hull growth needs no
-oversized bounding triangle.  Sites are inserted in a biased randomized
-order (Amenta, Choi & Rote 2003): shuffled by a constant seed, cut into
-rounds of doubling size, each round sorted along a Hilbert curve, so that
-point location walks a few triangles per insertion.  The order only
-steers the walks.  Cocircular ties are broken by a symbolic
-perturbation that treats lower-indexed sites as infinitesimally lifted,
-which makes the result independent of insertion order.  A triangle's
-vertex order is fixed when it is created; the fan of an insertion reuses
-the slots of the cavity it replaces, and nothing renumbers the rest.  The
-public views are sorted copies, built once after the last insertion.
+oversized bounding triangle; the ghosts are the mesh's only record of its
+hull.  Sites are inserted in a biased randomized order (Amenta, Choi &
+Rote 2003): shuffled by a constant seed, cut into rounds of doubling
+size, each round sorted along a Hilbert curve, so that point location
+walks a few triangles per insertion.  The order only steers the walks.
+Cocircular ties are broken by a symbolic perturbation that treats
+lower-indexed sites as infinitesimally lifted, which makes the result
+independent of insertion order.  A triangle's vertex order is fixed when
+it is created; the fan of an insertion reuses the slots of the cavity it
+replaces, and nothing renumbers the rest.  The public views are sorted
+copies, built once after the last insertion.
 
 Virtual insertion computes the cavity and fan a query point would create
 without mutating the mesh, and alone places a query: the walk finds it, and
@@ -135,9 +136,10 @@ class Triangulation:
 
     Triangle t is _verts[t]: CCW site indices, GHOST in slot 2 or else the
     smallest in slot 0, set at creation; _nbrs[t][e] lies across edge e
-    (vertex e to e + 1).  Every slot holds a live triangle.  The public
-    views are sorted copies, built once: triangles, the finite ones, and
-    neighbors[i][e], an index into triangles or None on the hull."""
+    (vertex e to e + 1).  Every slot holds a live triangle.  The ghosts are
+    the hull, kept nowhere else: ghost vs is hull edge vs[1] -> vs[0].  The
+    public views are sorted copies, built once: triangles, the finite ones,
+    and neighbors[i][e], an index into triangles or None on the hull."""
 
     def __init__(self, samples: SampleSet):
         self._samples = samples
@@ -240,7 +242,6 @@ class Triangulation:
         if not self._in_disk(seed, p, pidx):
             raise DegenerateInputError("mesh invariant broken: located triangle does not hold the point")
         cavity = {seed}
-        rejected = set()
         edges = []
         stack = [seed]
         while stack:
@@ -249,13 +250,11 @@ class Triangulation:
             for e, nb in enumerate(self._nbrs[t]):
                 if nb in cavity:
                     continue
-                if nb not in rejected:
-                    if self._in_disk(nb, p, pidx):
-                        cavity.add(nb)
-                        stack.append(nb)
-                        continue
-                    rejected.add(nb)
-                edges.append((vs[e], vs[(e + 1) % 3], nb, t))
+                if self._in_disk(nb, p, pidx):
+                    cavity.add(nb)
+                    stack.append(nb)
+                else:
+                    edges.append((vs[e], vs[(e + 1) % 3], nb, t))
         nxt = {u: (v, outside, inside) for u, v, outside, inside in edges}
         if not edges or len(nxt) != len(edges):
             raise DegenerateInputError("mesh invariant broken: cavity boundary is not a simple cycle")
@@ -296,6 +295,7 @@ class Triangulation:
         self._hint = next(f for f, (u, v, _, _) in zip(fan, cycle) if GHOST not in (u, v))
 
     def _finalize(self):
+        # Eager on purpose: views built on first read made Sibson queries slower.
         verts = self._verts
         finite = sorted(
             (t for t, vs in enumerate(verts) if vs[2] != GHOST),
@@ -310,13 +310,6 @@ class Triangulation:
         for t in finite:
             for v in verts[t]:
                 self._incident.setdefault(v, t)
-        self._hull_prev = {}
-        self._hull_next = {}
-        for vs in verts:
-            if vs[2] == GHOST:
-                head, tail, _ = vs
-                self._hull_next[tail] = head
-                self._hull_prev[head] = tail
 
     # -- virtual insertion -------------------------------------------
 
@@ -399,29 +392,25 @@ class Triangulation:
         two unbounded boundary rays."""
         if not isinstance(site_index, int) or not 0 <= site_index < len(self._pts):
             raise PreconditionError("site index must be an int in range(%d)" % len(self._pts))
-        if site_index in self._hull_next:
-            out_dirs = []
-            for a, b in (
-                (self._hull_prev[site_index], site_index),
-                (site_index, self._hull_next[site_index]),
-            ):
-                ex = self._pts[b].x - self._pts[a].x
-                ey = self._pts[b].y - self._pts[a].y
-                norm = math.hypot(ex, ey)
-                out_dirs.append(Point(ey / norm, -ex / norm))
-            return VoronoiCell(site_index, None, tuple(out_dirs))
-        t = self._incident[site_index]
-        start = t
-        centers = []
+        t = start = self._incident[site_index]
+        ring, rays = [], {}
         while True:
             vs = self._verts[t]
-            centers.append(
-                circumcircle(self._pts[vs[0]], self._pts[vs[1]], self._pts[vs[2]]).center
-            )
             slot = vs.index(site_index)
+            if vs[2] == GHOST:
+                # Ghost vs is hull edge vs[1] -> vs[0], into the site in slot 0.
+                a, b = self._pts[vs[1]], self._pts[vs[0]]
+                ex, ey = b.x - a.x, b.y - a.y
+                norm = math.hypot(ex, ey)
+                rays[slot] = Point(ey / norm, -ex / norm)
+            else:
+                ring.append(vs)
             t = self._nbrs[t][(slot + 2) % 3]
             if t == start:
                 break
+        if rays:
+            return VoronoiCell(site_index, None, (rays[0], rays[1]))
+        centers = [circumcircle(*(self._pts[v] for v in vs)).center for vs in ring]
         return VoronoiCell(site_index, tuple(centers), None)
 
 

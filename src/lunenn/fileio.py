@@ -144,7 +144,10 @@ def write_pgm(rows, path):
         hi = max(finite)
     else:
         lo = hi = 0.0
-    span = hi - lo
+    # Where 255 times the span overflows, offsets and span shrink by an exact
+    # 2**-9 to stay finite; every other pixel is as unscaled.
+    k = 1.0 if math.isfinite(255.0 * (hi - lo)) else 2.0 ** -9
+    span = hi * k - lo * k
     lines = ["P2", "%d %d" % (width, height), "255"]
     for row in rows:
         pixels = []
@@ -154,7 +157,7 @@ def write_pgm(rows, path):
             elif span == 0.0:
                 pixels.append(128)
             else:
-                pixels.append(int(round(255.0 * (v - lo) / span)))
+                pixels.append(int(round(255.0 * (v * k - lo * k) / span)))
         lines.append(" ".join(str(p) for p in pixels))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -61,6 +61,8 @@ def circumcircle(p, q, r) -> Circle:
     cx = r[0] - p[0]
     cy = r[1] - p[1]
     d = 2.0 * (bx * cy - by * cx)
+    if d == 0.0:
+        raise DegenerateInputError("circumcircle left the float range")
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy
     ux = (cy * b2 - by * c2) / d

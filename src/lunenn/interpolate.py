@@ -86,8 +86,9 @@ class SampleSet:
         self._sites = tuple(pts)
         # Keyed by the stored Points; an (x, y) tuple finds the same entry.
         self._index = index
-        # The site hull doubles as the collinearity check.
-        self._hull = convex_hull(self._sites)
+        # The sites are distinct, so the first two span a line.
+        if all(orientation_sign(pts[0], pts[1], p) == 0 for p in pts[2:]):
+            raise DegenerateInputError("points are collinear")
         x0, y0 = min(p.x for p in pts), min(p.y for p in pts)
         self._box = (x0, y0, max(p.x for p in pts) - x0, max(p.y for p in pts) - y0)
         self._diagonal = math.hypot(self._box[2], self._box[3])
@@ -104,10 +105,10 @@ class SampleSet:
     def size(self) -> int:
         return len(self._sites)
 
-    @property
+    @cached_property
     def hull(self) -> tuple:
-        """Indices of the site hull corners, as convex_hull returns them."""
-        return self._hull
+        """Indices of the site hull corners as convex_hull returns them, built on first read."""
+        return convex_hull(self._sites)
 
     @property
     def diagonal(self) -> float:

@@ -115,9 +115,6 @@ def random_moebius(seed, forbidden=(), clearance=0.0, max_attempts=256) -> Moebi
                 center = Point(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
                 inversion = moebius_from_inversion(Circle(center, rng.uniform(0.8, 2.0)))
                 candidate = inversion if candidate is None else moebius_compose(inversion, candidate)
-        det = candidate.a * candidate.d - candidate.b * candidate.c
-        if abs(det) < 1e-9:
-            continue
         pole = moebius_pole(candidate)
         if is_infinite(pole):
             return candidate

@@ -142,6 +142,15 @@ def test_grid_output(square, tmp_path, capsys):
     assert len(tokens) == 4 + 25
 
 
+def test_grid_values_spanning_the_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("x,y,z\n0,0,-1.7e308\n1,0,1.7e308\n1,1,-1.7e308\n0,1,1.7e308\n", encoding="utf-8")
+    out = tmp_path / "huge.pgm"
+    args = ["grid", "--samples", str(path), "--grid", "0,1,0,1,5,5", "--method", "sibson", "--out", str(out)]
+    assert main(args) == 0
+    assert out.read_text().split()[0] == "P2"
+
+
 def test_grid_methods_share_center_pixel(square, tmp_path, capsys):
     pixels = {}
     for method in ("moebius", "sibson"):

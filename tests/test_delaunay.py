@@ -9,6 +9,7 @@ Euler relation T = 2n - 2 - h.
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 
@@ -29,6 +30,7 @@ from lunenn import (
 )
 from lunenn import delaunay, errors
 from lunenn.delaunay import GHOST, _brio_order
+from lunenn.fileio import GridSpec, evaluate_grid
 from lunenn.geometry import Point
 from lunenn.hull import convex_hull
 from lunenn.interpolate import QueryKind, classify_query
@@ -209,6 +211,25 @@ def test_build_across_the_double_range():
         ref = build_delaunay(scaled)
         _check_structure(scaled, ref)
         assert (tri.triangles, tri.neighbors) == (ref.triangles, ref.neighbors)
+
+
+def test_sibson_work_never_hulls_the_sites(monkeypatch):
+    # Only classify_query reads the site hull, so Sibson work never builds it.
+    module = sys.modules["lunenn.interpolate"]
+    hulled = []
+    monkeypatch.setattr(module, "convex_hull", lambda points: hulled.append(len(points)) or convex_hull(points))
+    rng = random.Random(229)
+    sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2000)]
+    samples = SampleSet(sites, [x - y for x, y in sites])
+    tri = build_delaunay(samples)
+    for _ in range(20):
+        sibson_interpolate(tri, samples.elevations, (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
+    evaluate_grid(samples, GridSpec(-1, 1, -1, 1, 8, 8), method="sibson")
+    assert hulled == []
+    assert samples.hull == convex_hull(samples.sites)
+    assert hulled == [2000]
+    classify_query(samples, (0.1, 0.2))
+    assert hulled == [2000]
 
 
 def test_queries_do_not_mutate():
@@ -615,6 +636,21 @@ def test_voronoi_cell_matches_nearest_site():
             )
             if inside:
                 assert i == nearest
+
+
+def test_voronoi_cells_at_tiny_scale_return_finite_points_or_raise():
+    # At scale 1e-200 the circumcircle determinant underflows to zero for
+    # 22 of these 30 cells; the 8 hull sites return rays.
+    rng = random.Random(0)
+    sites = [(rng.uniform(-1, 1) * 1e-200, rng.uniform(-1, 1) * 1e-200) for _ in range(30)]
+    tri = build_delaunay(SampleSet(sites, [0.0] * 30))
+    for i in range(30):
+        try:
+            cell = voronoi_cell_polygon(tri, i)
+        except DegenerateInputError:
+            continue
+        points = cell.vertices if cell.bounded else cell.ray_directions
+        assert all(math.isfinite(t) for p in points for t in p)
 
 
 def test_voronoi_rejects_bad_site_index():

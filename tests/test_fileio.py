@@ -227,6 +227,15 @@ def test_write_pgm_error_cells(tmp_path):
     assert _read_pgm(path)[3] == [0, 0, 255, 0]
 
 
+def test_write_pgm_span_beyond_the_float_range(tmp_path):
+    # hi - lo, or 255 times it, overflows; the scale stays linear.
+    path = tmp_path / "h.pgm"
+    write_pgm([[-1.7e308, 1.7e308]], path)
+    assert path.read_text().splitlines()[3] == "0 255"
+    write_pgm([[-1.7e308, 0.0, -0.85e308]], path)
+    assert _read_pgm(path)[3] == [0, 255, 128]
+
+
 def test_write_pgm_rejects_ragged(tmp_path):
     with pytest.raises(DegenerateInputError):
         write_pgm([[1.0, 2.0], [3.0]], tmp_path / "d.pgm")

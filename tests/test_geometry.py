@@ -116,6 +116,13 @@ def test_circumcircle_rejects_collinear():
         circumcircle(Point(0, 0), Point(1, 1), Point(2, 2))
 
 
+def test_circumcircle_whose_determinant_underflows_raises():
+    # The exact orientation test passes, but 2 * (bx * cy - by * cx)
+    # underflows to zero; no ZeroDivisionError may escape.
+    with pytest.raises(DegenerateInputError, match="circumcircle left the float range"):
+        circumcircle(Point(0, 0), Point(1e-200, 0), Point(0, 1e-200))
+
+
 def test_circumcircle_residual():
     rng = random.Random(17)
     for _ in range(300):
