@@ -398,9 +398,10 @@ class Triangulation:
             vs = self._verts[t]
             slot = vs.index(site_index)
             if vs[2] == GHOST:
-                # Ghost vs is hull edge vs[1] -> vs[0], into the site in slot 0.
+                # Edge vs[1] -> vs[0] enters the site in slot 0; quartered if its length overflows.
                 a, b = self._pts[vs[1]], self._pts[vs[0]]
-                ex, ey = b.x - a.x, b.y - a.y
+                k = 1.0 if math.isfinite(math.hypot(b.x - a.x, b.y - a.y)) else 0.25
+                ex, ey = b.x * k - a.x * k, b.y * k - a.y * k
                 norm = math.hypot(ex, ey)
                 rays[slot] = Point(ey / norm, -ex / norm)
             else:

@@ -144,8 +144,7 @@ def write_pgm(rows, path):
         hi = max(finite)
     else:
         lo = hi = 0.0
-    # Where 255 times the span overflows, offsets and span shrink by an exact
-    # 2**-9 to stay finite; every other pixel is as unscaled.
+    # Past the float range, offsets and span shrink by an exact 2**-9.
     k = 1.0 if math.isfinite(255.0 * (hi - lo)) else 2.0 ** -9
     span = hi * k - lo * k
     lines = ["P2", "%d %d" % (width, height), "255"]

@@ -653,6 +653,15 @@ def test_voronoi_cells_at_tiny_scale_return_finite_points_or_raise():
         assert all(math.isfinite(t) for p in points for t in p)
 
 
+def test_voronoi_rays_of_hull_edges_longer_than_the_float_range():
+    # Each hull edge of this square is 2e308 long: its difference overflows.
+    big = [(-1e308, -1e308), (1e308, -1e308), (1e308, 1e308), (-1e308, 1e308), (0.5, 0.25)]
+    tri = build_delaunay(SampleSet(big, [0.0] * 5))
+    unit = build_delaunay(SampleSet(SQUARE_SITES + [(0.5, 0.25)], [0.0] * 5))
+    for i in range(4):
+        assert voronoi_cell_polygon(tri, i) == voronoi_cell_polygon(unit, i)
+
+
 def test_voronoi_rejects_bad_site_index():
     tri = build_delaunay(_square())
     for bad in (1.5, "4", -1, 4, None):
