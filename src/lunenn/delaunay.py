@@ -32,7 +32,7 @@ from typing import Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, circle_angle_at_common_point, circumcircle
-from .interpolate import LuneAngleSet, SampleSet, WeightVector, _blend, _elevation, _query_point, _snap
+from .interpolate import LuneAngleSet, SampleSet, WeightVector, _blend, _elevation, _finite_point, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -69,13 +69,12 @@ def _brio_order(pts) -> list:
     the bounding box."""
     order = list(range(len(pts)))
     random.Random(_BRIO_SEED).shuffle(order)
-    # Halved offsets stay finite even for a box spanning the double range.
     side = 1 << _HILBERT_BITS
     cells = []
     for axis in (0, 1):
-        lo = min(p[axis] for p in pts) / 2
-        width = max(p[axis] for p in pts) / 2 - lo or 1.0
-        cells.append([min(side - 1, int((p[axis] / 2 - lo) / width * side)) for p in pts])
+        lo = min(p[axis] for p in pts)
+        width = max(p[axis] for p in pts) - lo
+        cells.append([min(side - 1, int((p[axis] - lo) / width * side)) for p in pts])
     keys = [_hilbert_key(x, y) for x, y in zip(*cells)]
     # Round k from the end is order[n >> (k + 1) : n >> k].
     ends = [len(order) >> k for k in range(len(order).bit_length(), -1, -1)]
@@ -143,7 +142,7 @@ class Triangulation:
 
     def __init__(self, samples: SampleSet):
         self._samples = samples
-        self._pts = samples.sites
+        self._pts = samples._unit
         self._hint = 0
         self._build()
         self._finalize()
@@ -319,7 +318,7 @@ class Triangulation:
         the site hull OutsideDomainError: classify_query's outcome unless
         rounding ties or reorders the squared distances of sites almost
         equally far from s."""
-        p = _query_point(s)
+        p = self._samples._frame(s)
         i = self._samples._index.get(p)
         if i is None:
             t = self._locate(p)
@@ -389,7 +388,8 @@ class Triangulation:
     def voronoi_cell_polygon(self, site_index: int) -> VoronoiCell:
         """Voronoi cell of a site: circumcenters of its incident triangles
         in CCW order when bounded, otherwise the outward directions of the
-        two unbounded boundary rays."""
+        two unbounded boundary rays.  A vertex past the float range raises
+        DegenerateInputError."""
         if not isinstance(site_index, int) or not 0 <= site_index < len(self._pts):
             raise PreconditionError("site index must be an int in range(%d)" % len(self._pts))
         t = start = self._incident[site_index]
@@ -398,10 +398,9 @@ class Triangulation:
             vs = self._verts[t]
             slot = vs.index(site_index)
             if vs[2] == GHOST:
-                # Edge vs[1] -> vs[0] enters the site in slot 0; quartered if its length overflows.
+                # Edge vs[1] -> vs[0] enters the site in slot 0.
                 a, b = self._pts[vs[1]], self._pts[vs[0]]
-                k = 1.0 if math.isfinite(math.hypot(b.x - a.x, b.y - a.y)) else 0.25
-                ex, ey = b.x * k - a.x * k, b.y * k - a.y * k
+                ex, ey = b.x - a.x, b.y - a.y
                 norm = math.hypot(ex, ey)
                 rays[slot] = Point(ey / norm, -ex / norm)
             else:
@@ -412,7 +411,9 @@ class Triangulation:
         if rays:
             return VoronoiCell(site_index, None, (rays[0], rays[1]))
         centers = [circumcircle(*(self._pts[v] for v in vs)).center for vs in ring]
-        return VoronoiCell(site_index, tuple(centers), None)
+        scale = 2.0 ** self._samples._e
+        vertices = (_finite_point((c.x * scale, c.y * scale), "Voronoi vertex left the float range") for c in centers)
+        return VoronoiCell(site_index, tuple(vertices), None)
 
 
 def _shoelace(poly) -> float:

@@ -89,12 +89,20 @@ class GridSpec:
             raise DegenerateInputError("grid node counts must be ints of at least 2")
 
     def xs(self):
-        step = (self.x_max - self.x_min) / (self.nx - 1)
-        return [self.x_min + i * step for i in range(self.nx)]
+        return _nodes(self.x_min, self.x_max, self.nx)
 
     def ys(self):
-        step = (self.y_max - self.y_min) / (self.ny - 1)
-        return [self.y_min + i * step for i in range(self.ny)]
+        return _nodes(self.y_min, self.y_max, self.ny)
+
+
+def _nodes(lo, hi, n):
+    """n evenly spaced nodes from lo to hi."""
+    step = (hi - lo) / (n - 1)
+    if math.isfinite(lo + (n - 1) * step):
+        return [lo + i * step for i in range(n)]
+    # The span or its last step left the float range: blend the two ends,
+    # each term finite, and keep the sum within them.
+    return [min(max(lo * ((n - 1 - i) / (n - 1)) + hi * (i / (n - 1)), lo), hi) for i in range(n)]
 
 
 def evaluate_grid(

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .geometry import Point
 from .hull import convex_hull, turning_angles
-from .predicates import orientation_sign
+from .predicates import incircle_sign_unchecked, orientation_sign
 
 #: Coincidence snap radius, as a fraction of the sample bounding-box diagonal.
 DEFAULT_SNAP_TOLERANCE = 1e-12
@@ -75,23 +75,29 @@ class SampleSet:
             )
         if len(pts) < 3:
             raise DegenerateInputError("need at least three sites")
-        index = {}
-        for i, p in enumerate(pts):
-            if p in index:
-                raise DegenerateInputError(
-                    "sites %d and %d coincide at (%g, %g)" % (index[p], i, p.x, p.y)
-                )
-            index[p] = i
-        self._elevations = tuple(_elevation(z) for z in elevations)
+        x0, y0 = min(p.x for p in pts), min(p.y for p in pts)
+        x1, y1 = max(p.x for p in pts), max(p.y for p in pts)
+        self._diagonal = math.hypot(x1 - x0, y1 - y0)
+        # Every geometric step runs on the sites times 2**-e, e the least shift
+        # that brings their largest magnitude within [2**-256, 2**256].
+        m = math.frexp(max(-x0, -y0, x1, y1))[1]
+        e = self._e = max(m - 256, 0) + min(m + 256, 0)
         self._sites = tuple(pts)
-        # Keyed by the stored Points; an (x, y) tuple finds the same entry.
+        self._unit = self._sites if e == 0 else tuple(Point(math.ldexp(p.x, -e), math.ldexp(p.y, -e)) for p in pts)
+        index = {}
+        for i, p in enumerate(self._unit):
+            j = index.setdefault(p, i)
+            if j != i:
+                at = "(%g, %g)" % pts[i] if pts[i] == pts[j] else "the float range's precision"
+                raise DegenerateInputError("sites %d and %d coincide at %s" % (j, i, at))
+        self._elevations = tuple(_elevation(z) for z in elevations)
+        # Keyed by the framed Points; an (x, y) tuple finds the same entry.
         self._index = index
         # The sites are distinct, so the first two span a line.
-        if all(orientation_sign(pts[0], pts[1], p) == 0 for p in pts[2:]):
+        if all(orientation_sign(self._unit[0], self._unit[1], p) == 0 for p in self._unit[2:]):
             raise DegenerateInputError("points are collinear")
-        x0, y0 = min(p.x for p in pts), min(p.y for p in pts)
-        self._box = (x0, y0, max(p.x for p in pts) - x0, max(p.y for p in pts) - y0)
-        self._diagonal = math.hypot(self._box[2], self._box[3])
+        x0, y0, x1, y1 = (math.ldexp(t, -e) for t in (x0, y0, x1, y1))
+        self._box = (x0, y0, x1 - x0, y1 - y0)
 
     @property
     def sites(self):
@@ -108,23 +114,25 @@ class SampleSet:
     @cached_property
     def hull(self) -> tuple:
         """Indices of the site hull corners as convex_hull returns them, built on first read."""
-        return convex_hull(self._sites)
+        return convex_hull(self._unit)
 
     @property
     def diagonal(self) -> float:
         return self._diagonal
 
+    def _frame(self, s) -> Point:
+        """s as a Point of finite floats times 2**-e, where a coordinate stops at 2**1000, beyond every site."""
+        p = _finite_point(s, "query coordinates must be finite")
+        return Point(*(math.copysign(min(abs(t) * 2.0 ** -self._e, 2.0 ** 1000), t) for t in p))
+
     @cached_property
     def _buckets(self):
         """(cell size, columns, rows, {(column, row): site indices}) of a
-        grid over the bounding box with about two sites per cell, or None
-        where squared distances could under- or overflow."""
+        grid over the framed bounding box with about two sites per cell."""
         x0, y0, w, h = self._box
-        if not 2.0 ** -400 <= self._diagonal <= 2.0 ** 400:
-            return None
-        size = max(math.sqrt(2.0 * w * h / len(self._sites)), max(w, h) / len(self._sites))
+        size = max(math.sqrt(2.0 * w * h / len(self._unit)), max(w, h) / len(self._unit))
         cells = {}
-        for i, p in enumerate(self._sites):
+        for i, p in enumerate(self._unit):
             cells.setdefault((math.floor((p.x - x0) / size), math.floor((p.y - y0) / size)), []).append(i)
         return size, math.floor(w / size) + 1, math.floor(h / size) + 1, cells
 
@@ -203,15 +211,10 @@ class WeightVector:
         return tuple(w for _, w in self.entries)
 
 
-def _query_point(s) -> Point:
-    """s as a Point of finite floats."""
-    return _finite_point(s, "query coordinates must be finite")
-
-
 def _snap(samples: SampleSet, sx: float, sy: float, candidates) -> Optional[int]:
-    """The candidate site nearest to (sx, sy), ties to the lowest index, if
-    it lies within DEFAULT_SNAP_TOLERANCE * diagonal; otherwise None."""
-    sites = samples.sites
+    """The candidate site nearest to the framed point (sx, sy), ties to the
+    lowest index, if within DEFAULT_SNAP_TOLERANCE * the framed diagonal; otherwise None."""
+    sites = samples._unit
     best = best_d2 = None
     for i in candidates:
         dx = sites[i].x - sx
@@ -219,17 +222,13 @@ def _snap(samples: SampleSet, sx: float, sy: float, candidates) -> Optional[int]
         d2 = dx * dx + dy * dy
         if best_d2 is None or d2 < best_d2 or (d2 == best_d2 and i < best):
             best, best_d2 = i, d2
-    return best if best is not None and math.sqrt(best_d2) <= DEFAULT_SNAP_TOLERANCE * samples.diagonal else None
+    return best if best is not None and math.sqrt(best_d2) <= DEFAULT_SNAP_TOLERANCE * math.hypot(*samples._box[2:]) else None
 
 
 def _rings(samples: SampleSet, p: Point):
     """Yield the site indices first met in the blocks of 3x3, 5x5, 9x9, ...
-    grid cells around p, each with a lower bound on the distance from p to
-    every site not yet met (None once none is left).  Without a grid
-    every site comes at once."""
-    if samples._buckets is None:
-        yield range(samples.size), None
-        return
+    grid cells around the framed point p, each with a lower bound on the
+    distance from p to every site not yet met (None once none is left)."""
     x0, y0, w, h = samples._box
     size, cols, rows, cells = samples._buckets
     u, v = p.x - x0, p.y - y0
@@ -250,11 +249,11 @@ def classify_query(samples: SampleSet, s) -> QueryClass:
     """Snap s to a site as _snap does over the 3x3 block of grid cells
     around s, which holds every site within the snap radius, otherwise
     place s exactly relative to the site hull."""
-    p = _query_point(s)
+    p = samples._frame(s)
     best = _snap(samples, p.x, p.y, next(_rings(samples, p))[0])
     if best is not None:
         return QueryClass(QueryKind.COINCIDENT, best)
-    hull = [samples.sites[i] for i in samples.hull]
+    hull = [samples._unit[i] for i in samples.hull]
     side = min(orientation_sign(hull[k - 1], hull[k], p) for k in range(len(hull)))
     return QueryClass((QueryKind.EXTERIOR, QueryKind.ON_BOUNDARY, QueryKind.INTERIOR)[side + 1])
 
@@ -262,7 +261,7 @@ def classify_query(samples: SampleSet, s) -> QueryClass:
 def _inverted_images(samples: SampleSet, p: Point, indices) -> dict:
     images = {}
     for i in sorted(indices):
-        dx, dy = samples.sites[i].x - p.x, samples.sites[i].y - p.y
+        dx, dy = samples._unit[i].x - p.x, samples._unit[i].y - p.y
         d2 = dx * dx + dy * dy
         if d2 == 0.0:
             raise CoincidentQueryError("query coincides with site %d" % i, i)
@@ -289,7 +288,7 @@ def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
     the hull of a subset is no corner, so only a ring's corners go on.
     For s on or outside the site hull every site is reached: the origin
     is then not strictly inside the images' hull."""
-    p = _query_point(s)
+    p = samples._frame(s)
     images = {}
     for new, reach in _rings(samples, p):
         images.update(_inverted_images(samples, p, new))
@@ -298,9 +297,13 @@ def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
         try:
             corners = convex_hull(points)
         except DegenerateInputError:
-            if reach is None:
-                raise
-            continue
+            if reach is not None:
+                continue
+            # Only sites on one circle through s have collinear images;
+            # otherwise the images collapsed in the float range.
+            if incircle_sign_unchecked(*(samples._unit[i] for i in samples.hull[:3]), p):
+                raise DegenerateInputError("query lies too far from the sites for the float range") from None
+            raise
         if reach is None or all(_clear_of(points[corners[k - 1]], points[corners[k]], reach) for k in range(len(corners))):
             break
         images = {order[c]: points[c] for c in corners}

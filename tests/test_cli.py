@@ -106,12 +106,16 @@ def test_usage_errors(square, capsys):
     assert main(["experiment", "harmonic", "--seed", "1", "--out", "h.csv", "--sizes", ""]) == 1
 
 
-def test_eval_huge_sites_is_a_domain_error(tmp_path, capsys):
-    # Squared distances overflow to inf here; no OverflowError escapes.
+def test_eval_huge_sites_matches_unit_scale(tmp_path, capsys):
+    # Squared distances at this scale overflow; the sites' power-of-two
+    # frame keeps them in range, so the value is that of the unit set.
     path = tmp_path / "big.csv"
     path.write_text("x,y,z\n1e200,0,1\n0,1e200,2\n-1e200,-1e200,3\n", encoding="utf-8")
-    assert main(["eval", "--samples", str(path), "--at", "1,1"]) == 2
-    assert "collinear" in capsys.readouterr().err
+    assert main(["eval", "--samples", str(path), "--at", "1,1"]) == 0
+    assert capsys.readouterr().out == "2.0729490168751576\n"
+    path.write_text("x,y,z\n1,0,1\n0,1,2\n-1,-1,3\n", encoding="utf-8")
+    assert main(["eval", "--samples", str(path), "--at", "1e-200,1e-200"]) == 0
+    assert capsys.readouterr().out == "2.0729490168751576\n"
 
 
 def test_help_exits_zero(capsys):

@@ -19,6 +19,7 @@ from lunenn import (
     OutsideDomainError,
     PreconditionError,
     SampleSet,
+    VoronoiCell,
     build_delaunay,
     interpolate,
     lune_angles,
@@ -651,6 +652,26 @@ def test_voronoi_cells_at_tiny_scale_return_finite_points_or_raise():
             continue
         points = cell.vertices if cell.bounded else cell.ray_directions
         assert all(math.isfinite(t) for p in points for t in p)
+
+
+def test_voronoi_cells_near_the_top_of_the_float_range_scale_or_raise():
+    # Scaled by 2**1020, a cell equals the unit cell scaled alike, and
+    # raises only where a scaled vertex leaves the float range.
+    rng = random.Random(0)
+    sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(30)] + SQUARE_SITES
+    unit = build_delaunay(SampleSet(sites, [0.0] * 34))
+    tri = build_delaunay(SampleSet([(math.ldexp(x, 1020), math.ldexp(y, 1020)) for x, y in sites], [0.0] * 34))
+    bounded = 0
+    for i in range(34):
+        cell = voronoi_cell_polygon(unit, i)
+        scaled = [Point(x * 2.0 ** 1020, y * 2.0 ** 1020) for x, y in cell.vertices or ()]
+        if not all(math.isfinite(t) for p in scaled for t in p):
+            with pytest.raises(DegenerateInputError, match="Voronoi vertex left the float range"):
+                voronoi_cell_polygon(tri, i)
+            continue
+        bounded += cell.bounded
+        assert voronoi_cell_polygon(tri, i) == (VoronoiCell(i, tuple(scaled), None) if cell.bounded else cell)
+    assert bounded > 20
 
 
 def test_voronoi_rays_of_hull_edges_longer_than_the_float_range():

@@ -113,6 +113,24 @@ def test_grid_spec_validation():
     assert spec.ys()[-1] == 2.0
 
 
+def test_grids_over_a_span_beyond_the_float_range():
+    # x_max - x_min overflows, or the last node does; the nodes still run
+    # from x_min to x_max.
+    b = 1.5e308
+    spec = GridSpec(-b, b, -b, b, 5, 5)
+    assert spec.xs() == spec.ys() == [-b, -0.5 * b, 0.0, 0.5 * b, b]
+    top = sys.float_info.max
+    for lo, hi, n in ((-top, top, 7), (-top / 2, top / 2, 4), (1.0, top, 9)):
+        xs = GridSpec(lo, hi, 0, 1, n, 2).xs()
+        assert xs[0] == lo and xs[-1] == hi
+        assert all(u < v for u, v in zip(xs, xs[1:]))
+    samples = SampleSet([(-b, -b), (b, -b), (b, b), (-b, b), (1e307, -2e307)], [1.0, 2.0, 3.0, 4.0, 5.0])
+    for method in ("moebius", "sibson"):
+        rows = evaluate_grid(samples, spec, method=method)
+        assert all(v is None or math.isfinite(v) for row in rows for v in row)
+        assert all(v is not None for row in rows[1:4] for v in row[1:4])
+
+
 def _square_samples():
     return SampleSet([(-1, -1), (1, -1), (1, 1), (-1, 1)], [10.0, 20.0, 30.0, 40.0])
 

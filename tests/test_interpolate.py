@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lunenn import (
@@ -305,16 +305,134 @@ def test_int_too_large_for_a_float_is_a_domain_error():
         SampleSet([(0, 0), (1, 0), (0, 1)], [0.0, -huge, 0.0])
 
 
-def test_lune_query_whose_angles_leave_the_float_range_raises():
-    # At scale 1e-160 the inverted images lie near 1e160, so the turning
-    # angles' cross products overflow to inf - inf: NaN, which must raise.
+def test_repro_values_do_not_depend_on_the_scale():
+    # Before the power-of-two frame, squares underflowed at 1e-300 and
+    # 1e-200 (every query snapped to a site), the turning angles overflowed
+    # at 1e-160 and the images collapsed from 1e155 up.
     rng = random.Random(0)
     sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(30)]
-    c = 1e-160
-    samples = SampleSet([(x * c, y * c) for x, y in sites], [x + 2 * y for x, y in sites])
-    for call in (interpolate, lune_angles):
-        with pytest.raises(DegenerateInputError, match="lune angles left the float range"):
-            call(samples, (0.1 * c, -0.05 * c))
+    z = [x + 2 * y for x, y in sites]
+
+    def values(c):
+        samples = SampleSet([(x * c, y * c) for x, y in sites], z)
+        q = (0.1 * c, -0.05 * c)
+        return interpolate(samples, q), sibson_interpolate(build_delaunay(samples), z, q)
+
+    unit = values(1.0)
+    assert abs(unit[0] + 0.00266) <= 1e-5 and abs(unit[1]) <= 1e-12
+    for c in (1e-300, 1e-200, 1e-160, 1e155, 1e300):
+        for got, want in zip(values(c), unit):
+            assert math.isfinite(got) and abs(got - want) <= 1e-12
+    for k in (-1000, 1000):
+        assert [v.hex() for v in values(2.0 ** k)] == [v.hex() for v in unit]
+
+
+def test_square_at_the_top_of_the_float_range_matches_its_scaled_copy():
+    # The diagonal overflows, so a snap radius of 1e-12 * diagonal once
+    # made every query take a corner's value.
+    big = [(-1e308, -1e308), (1e308, -1e308), (1e308, 1e308), (-1e308, 1e308), (0.5, 0.25)]
+    z = [1.0, 2.0, 3.0, 4.0, 5.0]
+    samples = SampleSet(big, z)
+    small = SampleSet([(math.ldexp(x, -1000), math.ldexp(y, -1000)) for x, y in big], z)
+    assert samples.diagonal == math.inf
+    tri, small_tri = build_delaunay(samples), build_delaunay(small)
+    for q in ((5e307, 0.0), (1e307, -3e307), (-2e307, 6e307)):
+        sq = (math.ldexp(q[0], -1000), math.ldexp(q[1], -1000))
+        got = (interpolate(samples, q), sibson_interpolate(tri, z, q))
+        assert got == (interpolate(small, sq), sibson_interpolate(small_tri, z, sq))
+        assert not set(got) & set(z)
+
+
+def test_sites_that_coincide_in_the_frame_raise_at_construction():
+    # Framed by 2**-768, the subnormal x of site 1 rounds to 0.
+    with pytest.raises(DegenerateInputError, match="sites 0 and 1 coincide at the float range's precision") as info:
+        SampleSet([(0.0, 0.0), (5e-324, 0.0), (0.0, 1e308)], [0.0] * 3)
+    assert "e-324" not in str(info.value)
+    with pytest.raises(DegenerateInputError, match=r"sites 0 and 2 coincide at \(1e\+300, 0\)"):
+        SampleSet([(1e300, 0.0), (0.0, 1e300), (1e300, 0.0)], [0.0] * 3)
+
+
+def test_far_exterior_lune_query_says_why_it_fails():
+    # The images collapse onto a line, though the sites are not collinear.
+    samples = SampleSet(SQUARE_SITES + [(0.3, 0.1)], SQUARE_Z + [0.0])
+    for q in ((1e150, 0.0), (1e300, 0.0)):
+        assert classify_query(samples, q).kind is QueryKind.EXTERIOR
+        with pytest.raises(DegenerateInputError, match="query lies too far from the sites for the float range"):
+            interpolate(samples, q, allow_exterior=True)
+    # A query whose framed coordinates overflow stays outside the hull.
+    rng = random.Random(0)
+    tiny = [(rng.uniform(-1, 1) * 1e-300, rng.uniform(-1, 1) * 1e-300) for _ in range(30)]
+    samples = SampleSet(tiny, [0.0] * 30)
+    q = (1e100, -1e300)
+    assert classify_query(samples, q).kind is QueryKind.EXTERIOR
+    with pytest.raises(OutsideDomainError):
+        interpolate(samples, q)
+    with pytest.raises(DegenerateInputError, match="query lies too far"):
+        lune_angles(samples, q)
+    with pytest.raises(OutsideDomainError):
+        sibson_interpolate(build_delaunay(samples), samples.elevations, q)
+    # Sites on one circle through the query do invert to collinear images.
+    with pytest.raises(DegenerateInputError, match="points are collinear"):
+        lune_angles(SampleSet([(1, 0), (0, 1), (-1, 0)], [0.0] * 3), (0, -1))
+
+
+def _sweep_sites(kind, rng):
+    if kind == "random":
+        return [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.choice((12, 40)))]
+    if kind == "lattice":
+        side = rng.choice((3, 6))
+        return [(float(i), float(j)) for i in range(side) for j in range(side)]
+    sites = [(rng.gauss(0.3, 1e-3), rng.gauss(0.2, 1e-3)) for _ in range(40)]
+    return sites + [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(8)]
+
+
+def _bits(fn):
+    """fn()'s result as hex strings, or its library error's type and site."""
+    try:
+        result = fn()
+    except (CoincidentQueryError, DegenerateBoundaryError, DegenerateInputError, OutsideDomainError) as exc:
+        return type(exc).__name__, getattr(exc, "site_index", None)
+    if isinstance(result, float):
+        assert math.isfinite(result)
+        return result.hex()
+    return tuple((i, v.hex()) for i, v in result.entries)
+
+
+def _sweep_outputs(sites, z, queries):
+    samples = SampleSet(sites, z)
+    tri = build_delaunay(samples)
+    calls = (
+        lambda q: lune_angles(samples, q),
+        lambda q: weights_from_angles(lune_angles(samples, q)),
+        lambda q: interpolate(samples, q, allow_exterior=True),
+        lambda q: lune_angles_oracle(tri, q),
+        lambda q: sibson_weights(tri, q),
+        lambda q: sibson_interpolate(tri, z, q),
+    )
+    return [_bits(lambda: call(q)) for q in queries for call in calls]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(kind="random", seed=0, k=-1000)
+@example(kind="clustered", seed=1, k=1000)
+@example(kind="lattice", seed=2, k=-1000)
+@given(
+    kind=st.sampled_from(("random", "lattice", "clustered")),
+    seed=st.integers(0, 2**32),
+    k=st.integers(-1000, 1000),
+)
+def test_power_of_two_scaling_keeps_every_output_bit(kind, seed, k):
+    rng = random.Random(seed)
+    sites = _sweep_sites(kind, rng)
+    z = [x - 2 * y + x * y for x, y in sites]
+    xs, ys = [x for x, _ in sites], [y for _, y in sites]
+    queries = [(rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys))) for _ in range(4)] + [sites[1]]
+
+    def scaled(points):
+        return [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in points]
+
+    assume(all(math.ldexp(t, -k) == u for p, q in zip(scaled(sites + queries), sites + queries) for t, u in zip(p, q)))
+    assert _sweep_outputs(scaled(sites), z, scaled(queries)) == _sweep_outputs(sites, z, queries)
 
 
 def test_convex_combination_bounds():
@@ -677,12 +795,18 @@ def _pruning_query(kind, rng, samples, eps):
 def test_lune_angles_match_the_literal_construction(sites, query, seed, eps, k):
     # Bit for bit, errors included: the search only leaves out images that
     # cannot be corners, and the snap block holds every site that can snap.
+    # Both run on the sites and the query times 2**-e, the least power of
+    # two that brings the largest coordinate magnitude within 2**+-256.
     rng = random.Random(seed)
     samples = _pruning_sites(sites, rng, 2.0 ** k)
+    m = math.frexp(max(abs(t) for p in samples.sites for t in p))[1]
+    e = max(m - 256, 0) + min(m + 256, 0)
+    framed = SampleSet([(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in samples.sites], [0.0] * samples.size)
     for _ in range(8):
         s = _pruning_query(query, rng, samples, eps)
-        assert _outcome(lune_angles, samples, s) == _outcome(_lune_angles_literal, samples, s)
-        nearest = sys.modules["lunenn.interpolate"]._snap(samples, s[0], s[1], range(samples.size))
+        fs = (math.ldexp(s[0], -e), math.ldexp(s[1], -e))
+        assert _outcome(lune_angles, samples, s) == _outcome(_lune_angles_literal, framed, fs)
+        nearest = sys.modules["lunenn.interpolate"]._snap(samples, fs[0], fs[1], range(samples.size))
         assert classify_query(samples, s).site_index == nearest
 
 
