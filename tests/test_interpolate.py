@@ -306,9 +306,9 @@ def test_int_too_large_for_a_float_is_a_domain_error():
 
 
 def test_repro_values_do_not_depend_on_the_scale():
-    # Before the power-of-two frame, squares underflowed at 1e-300 and
-    # 1e-200 (every query snapped to a site), the turning angles overflowed
-    # at 1e-160 and the images collapsed from 1e155 up.
+    # Unframed, the squares underflow at 1e-300 and 1e-200 (every query
+    # would snap to a site), the turning angles overflow at 1e-160 and the
+    # images collapse from 1e155 up.
     rng = random.Random(0)
     sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(30)]
     z = [x + 2 * y for x, y in sites]
@@ -328,8 +328,8 @@ def test_repro_values_do_not_depend_on_the_scale():
 
 
 def test_square_at_the_top_of_the_float_range_matches_its_scaled_copy():
-    # The diagonal overflows, so a snap radius of 1e-12 * diagonal once
-    # made every query take a corner's value.
+    # The diagonal overflows: a snap radius of 1e-12 * diagonal in input
+    # units would make every query take a corner's value.
     big = [(-1e308, -1e308), (1e308, -1e308), (1e308, 1e308), (-1e308, 1e308), (0.5, 0.25)]
     z = [1.0, 2.0, 3.0, 4.0, 5.0]
     samples = SampleSet(big, z)
