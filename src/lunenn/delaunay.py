@@ -8,6 +8,10 @@ hull.  Sites are inserted in a biased randomized order (Amenta, Choi &
 Rote 2003): shuffled by a constant seed, cut into rounds of doubling
 size, each round sorted along a Hilbert curve, so that point location
 walks a few triangles per insertion.  The order only steers the walks.
+The sites' Hilbert keys stay, sorted, as a (key, site) table: a query
+jumps to the site whose key is next to its own and walks from a triangle
+there (Muecke, Saias & Zhu 1996), a few triangles at any n.  Queries write
+nothing, so after the build the mesh is read-only.
 Cocircular ties are broken by a symbolic perturbation that treats
 lower-indexed sites as infinitesimally lifted, which makes the result
 independent of insertion order.  A triangle's vertex order is fixed when
@@ -25,6 +29,7 @@ weights.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -50,32 +55,41 @@ def _hilbert_key(x: int, y: int) -> int:
     mask = (1 << _HILBERT_BITS) - 1
     s = 1 << (_HILBERT_BITS - 1)
     while s:
-        rx = 1 if x & s else 0
-        ry = 1 if y & s else 0
-        key += s * s * ((3 * rx) ^ ry)
-        if not ry:
-            if rx:
-                x ^= mask
-                y ^= mask
+        # Bits (x, y) = 00, 01, 11, 10 give quadrant digits 0, 1, 2, 3.  The
+        # curve turns in quadrants 0 and 3: the lower bits swap, and in
+        # quadrant 3 are complemented too.
+        if y & s:
+            key += (2 if x & s else 1) * s * s
+        elif x & s:
+            key += 3 * s * s
+            x, y = y ^ mask, x ^ mask
+        else:
             x, y = y, x
         s >>= 1
     return key
 
 
-def _brio_order(pts) -> list:
-    """Biased randomized insertion order of the site indices: a seeded
-    shuffle cut into rounds of doubling size, the last round the last
-    half, each round sorted by the Hilbert key of its sites quantized on
-    the bounding box."""
-    order = list(range(len(pts)))
-    random.Random(_BRIO_SEED).shuffle(order)
+def _cell_key(box, p) -> int:
+    """Hilbert key of the cell that holds p on the 2**_HILBERT_BITS square
+    grid over box (x0, y0, width, height).  A point off the box takes the
+    nearest cell: its offsets are clamped in float, before int(), so that
+    a coordinate near 2**1000 cannot overflow."""
     side = 1 << _HILBERT_BITS
-    cells = []
-    for axis in (0, 1):
-        lo = min(p[axis] for p in pts)
-        width = max(p[axis] for p in pts) - lo
-        cells.append([min(side - 1, int((p[axis] - lo) / width * side)) for p in pts])
-    keys = [_hilbert_key(x, y) for x, y in zip(*cells)]
+    x0, y0, w, h = box
+    u = (p[0] - x0) / w
+    v = (p[1] - y0) / h
+    return _hilbert_key(
+        side - 1 if u >= 1.0 else int(u * side) if u > 0.0 else 0,
+        side - 1 if v >= 1.0 else int(v * side) if v > 0.0 else 0,
+    )
+
+
+def _brio_order(keys) -> list:
+    """Biased randomized insertion order of the site indices, given the
+    sites' Hilbert keys: a seeded shuffle cut into rounds of doubling
+    size, the last round the last half, each round sorted by key."""
+    order = list(range(len(keys)))
+    random.Random(_BRIO_SEED).shuffle(order)
     # Round k from the end is order[n >> (k + 1) : n >> k].
     ends = [len(order) >> k for k in range(len(order).bit_length(), -1, -1)]
     return [i for lo, hi in zip(ends, ends[1:]) for i in sorted(order[lo:hi], key=keys.__getitem__)]
@@ -129,23 +143,26 @@ class VoronoiCell:
 
 class Triangulation:
     """Delaunay triangulation of a SampleSet.  Build through
-    build_delaunay; afterwards the mesh is read-only.  A query (virtual
-    insertion included) moves only _hint, the walk's start triangle, on
-    which no result depends.
+    build_delaunay; afterwards nothing writes to it, so queries in any
+    order give the same results.
 
     Triangle t is _verts[t]: CCW site indices, GHOST in slot 2 or else the
     smallest in slot 0, set at creation; _nbrs[t][e] lies across edge e
     (vertex e to e + 1).  Every slot holds a live triangle.  The ghosts are
     the hull, kept nowhere else: ghost vs is hull edge vs[1] -> vs[0].  The
     public views are sorted copies, built once: triangles, the finite ones,
-    and neighbors[i][e], an index into triangles or None on the hull."""
+    and neighbors[i][e], an index into triangles or None on the hull.
+    The sites' Hilbert keys, sorted, are _keys; _key_sites[j] is the site
+    of _keys[j]."""
 
     def __init__(self, samples: SampleSet):
         self._samples = samples
         self._pts = samples._unit
-        self._hint = 0
-        self._build()
+        keys = [_cell_key(samples._box, p) for p in self._pts]
+        self._build(_brio_order(keys))
         self._finalize()
+        self._key_sites = sorted(range(len(keys)), key=keys.__getitem__)
+        self._keys = [keys[i] for i in self._key_sites]
 
     # -- public views ------------------------------------------------
 
@@ -155,11 +172,10 @@ class Triangulation:
 
     # -- construction ------------------------------------------------
 
-    def _build(self):
+    def _build(self, order):
         # SampleSet rejects collinear sites, so some k is off the line
         # through the first two sites of the order.
         pts = self._pts
-        order = _brio_order(pts)
         i, j = order[0], order[1]
         for k in order[2:]:
             o = orientation_sign(pts[i], pts[j], pts[k])
@@ -173,9 +189,11 @@ class Triangulation:
         self._set_triangle(1, b, a, GHOST, [0, 3, 2])
         self._set_triangle(2, c, b, GHOST, [0, 1, 3])
         self._set_triangle(3, a, c, GHOST, [0, 2, 1])
+        # Each walk starts from the fan of the insertion before it.
+        t = 0
         for idx in order[2:]:
             if idx != k:
-                self._insert(idx)
+                t = self._insert(idx, t)
 
     def _set_triangle(self, t, u, v, w, nbrs):
         # The one layout: a ghost vertex in slot 2, otherwise the smallest
@@ -207,17 +225,15 @@ class Triangulation:
             self._pts[ia], self._pts[ib], self._pts[ic], p, ia, ib, ic, pidx
         )
 
-    def _locate(self, p):
-        """Walk toward p from the last-visited finite triangle; on a Delaunay
+    def _locate(self, p, t):
+        """Walk toward p from the finite triangle t; on a Delaunay
         triangulation the walk terminates (Devillers, Pion & Teillaud 2002).
         Returns a finite triangle whose closed interior holds p, or a ghost
         once the walk leaves the hull."""
-        t = self._hint
         came_from = -1
         for _ in range(4 * len(self._verts) + 16):
             vs = self._verts[t]
             if vs[2] == GHOST:
-                self._hint = self._nbrs[t][0]
                 return t
             for e in range(3):
                 nb = self._nbrs[t][e]
@@ -228,7 +244,6 @@ class Triangulation:
                     t = nb
                     break
             else:
-                self._hint = t
                 return t
         raise DegenerateInputError("mesh invariant broken: point location did not terminate")
 
@@ -267,9 +282,10 @@ class Triangulation:
             raise DegenerateInputError("mesh invariant broken: cavity boundary is not a single cycle")
         return cavity, cycle
 
-    def _insert(self, idx):
+    def _insert(self, idx, start) -> int:
+        """Insert site idx, walking from triangle start; returns a finite triangle of the fan."""
         p = self._pts[idx]
-        seed = self._locate(p)
+        seed = self._locate(p, start)
         cavity, cycle = self._cavity(seed, p, idx)
         # The cavity is a disk with every vertex on its boundary, so the fan
         # has two triangles more: it takes the cavity's slots and two new ones.
@@ -291,7 +307,7 @@ class Triangulation:
                     break
             else:
                 raise DegenerateInputError("mesh invariant broken: boundary neighbor back-link not found")
-        self._hint = next(f for f, (u, v, _, _) in zip(fan, cycle) if GHOST not in (u, v))
+        return next(f for f, (u, v, _, _) in zip(fan, cycle) if GHOST not in (u, v))
 
     def _finalize(self):
         # Eager on purpose: views built on first read made Sibson queries slower.
@@ -321,7 +337,10 @@ class Triangulation:
         p = self._samples._frame(s)
         i = self._samples._index.get(p)
         if i is None:
-            t = self._locate(p)
+            # Jump to the site whose key is next to p's, then walk (Muecke,
+            # Saias & Zhu 1996).
+            j = min(bisect.bisect_left(self._keys, _cell_key(self._samples._box, p)), len(self._keys) - 1)
+            t = self._locate(p, self._incident[self._key_sites[j]])
             cavity, cycle = self._cavity(t, p, len(self._pts))
             # Every site nearest to p borders the cavity: the circle on
             # diameter p-q holds no other site.

@@ -98,6 +98,7 @@ class SampleSet:
             raise DegenerateInputError("points are collinear")
         x0, y0, x1, y1 = (math.ldexp(t, -e) for t in (x0, y0, x1, y1))
         self._box = (x0, y0, x1 - x0, y1 - y0)
+        self._snap_radius = DEFAULT_SNAP_TOLERANCE * math.hypot(*self._box[2:])
 
     @property
     def sites(self):
@@ -123,6 +124,8 @@ class SampleSet:
     def _frame(self, s) -> Point:
         """s as a Point of finite floats times 2**-e, where a coordinate stops at 2**1000, beyond every site."""
         p = _finite_point(s, "query coordinates must be finite")
+        if self._e == 0 and abs(p.x) <= 2.0 ** 1000 and abs(p.y) <= 2.0 ** 1000:
+            return p
         return Point(*(math.copysign(min(abs(t) * 2.0 ** -self._e, 2.0 ** 1000), t) for t in p))
 
     @cached_property
@@ -213,7 +216,7 @@ class WeightVector:
 
 def _snap(samples: SampleSet, sx: float, sy: float, candidates) -> Optional[int]:
     """The candidate site nearest to the framed point (sx, sy), ties to the
-    lowest index, if within DEFAULT_SNAP_TOLERANCE * the framed diagonal; otherwise None."""
+    lowest index, if within the snap radius, DEFAULT_SNAP_TOLERANCE * the framed diagonal; otherwise None."""
     sites = samples._unit
     best = best_d2 = None
     for i in candidates:
@@ -222,7 +225,7 @@ def _snap(samples: SampleSet, sx: float, sy: float, candidates) -> Optional[int]
         d2 = dx * dx + dy * dy
         if best_d2 is None or d2 < best_d2 or (d2 == best_d2 and i < best):
             best, best_d2 = i, d2
-    return best if best is not None and math.sqrt(best_d2) <= DEFAULT_SNAP_TOLERANCE * math.hypot(*samples._box[2:]) else None
+    return best if best is not None and math.sqrt(best_d2) <= samples._snap_radius else None
 
 
 def _rings(samples: SampleSet, p: Point):

@@ -6,6 +6,7 @@ is tested against every site, and triangle counts are compared with the
 Euler relation T = 2n - 2 - h.
 """
 
+import copy
 import hashlib
 import math
 import random
@@ -30,7 +31,7 @@ from lunenn import (
     voronoi_cell_polygon,
 )
 from lunenn import delaunay, errors
-from lunenn.delaunay import GHOST, _brio_order
+from lunenn.delaunay import GHOST, _brio_order, _cell_key
 from lunenn.fileio import GridSpec, evaluate_grid
 from lunenn.geometry import Point
 from lunenn.hull import convex_hull
@@ -172,11 +173,12 @@ def test_build_deterministic():
 
 def test_brio_order_is_a_fixed_permutation():
     rng = random.Random(229)
-    sites = _random_samples(rng, n=500).sites
-    order = _brio_order(sites)
+    samples = _random_samples(rng, n=500)
+    keys = [_cell_key(samples._box, p) for p in samples._unit]
+    order = _brio_order(keys)
     assert sorted(order) == list(range(500))
     assert order != sorted(order)
-    assert _brio_order(sites) == order
+    assert _brio_order(keys) == order
 
 
 def test_build_walks_a_few_triangles_per_site(monkeypatch):
@@ -193,6 +195,27 @@ def test_build_walks_a_few_triangles_per_site(monkeypatch):
     sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2000)]
     build_delaunay(SampleSet(sites, [0.0] * len(sites)))
     assert len(calls) < 15 * len(sites)
+
+
+def test_sibson_queries_walk_a_few_triangles(monkeypatch):
+    # From the triangle where the last query ended a random query walks
+    # O(sqrt n) triangles (about 65 orientation tests at n = 2000); from
+    # the site whose Hilbert key is next to the query's it takes about 6.
+    rng = random.Random(239)
+    sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2000)]
+    samples = SampleSet(sites, [x + 2 * y for x, y in sites])
+    tri = build_delaunay(samples)
+    calls = []
+
+    def counting(p, q, r):
+        calls.append(None)
+        return orientation_sign(p, q, r)
+
+    monkeypatch.setattr(delaunay, "orientation_sign", counting)
+    queries = 200
+    for _ in range(queries):
+        sibson_interpolate(tri, samples.elevations, (rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)))
+    assert len(calls) < 15 * queries
 
 
 def test_build_across_the_double_range():
@@ -245,6 +268,43 @@ def test_queries_do_not_mutate():
     for i in range(samples.size):
         voronoi_cell_polygon(tri, i)
     assert (tri.triangles, tri.neighbors) == before
+
+
+def _outcome(call):
+    """repr of call()'s value, which pins every float bit, or its error."""
+    try:
+        return "value", repr(call())
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_query_results_do_not_depend_on_the_query_order():
+    rng = random.Random(251)
+    sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(500)]
+    samples = SampleSet(sites, [math.sin(3 * x) + y for x, y in sites])
+    tri = build_delaunay(samples)
+    mesh = copy.deepcopy({k: v for k, v in vars(tri).items() if k != "_samples"})
+    far = [(1e308, 0.5), (-1.5e301, -1e308), (0.25, 2.0 ** 1020), (-1e305, 1e300)]
+    queries = [(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)) for _ in range(100)]
+    queries += [(rng.uniform(-3, 3), rng.choice((-1, 1)) * rng.uniform(1.01, 3)) for _ in range(80)]
+    for _ in range(80):
+        x, y = sites[rng.randrange(len(sites))]
+        queries.append((x + rng.uniform(-1e-13, 1e-13), y) if rng.random() < 0.75 else (x, y))
+    queries += [rng.choice(far) for _ in range(40)]
+    calls = (sibson_weights, lune_angles_oracle, lambda t, q: sibson_interpolate(t, samples.elevations, q))
+
+    def run(order):
+        return {j: [_outcome(lambda: f(tri, queries[j])) for f in calls] for j in order}
+
+    forward = run(range(len(queries)))
+    shuffled = list(range(len(queries)))
+    rng.shuffle(shuffled)
+    assert run(shuffled) == forward
+    assert copy.deepcopy({k: v for k, v in vars(tri).items() if k != "_samples"}) == mesh
+    for j in range(len(queries) - 40, len(queries)):
+        assert [kind for kind, _ in forward[j]] == ["OutsideDomainError"] * 3
+    kinds = {kind for outcomes in forward.values() for kind, _ in outcomes}
+    assert kinds == {"value", "CoincidentQueryError", "OutsideDomainError"}
 
 
 # ------------------------------------------------------- lune angle oracle
