@@ -9,9 +9,9 @@ Rote 2003): shuffled by a constant seed, cut into rounds of doubling
 size, each round sorted along a Hilbert curve, so that point location
 walks a few triangles per insertion.  The order only steers the walks.
 The sites' Hilbert keys stay, sorted, as a (key, site) table: a query
-jumps to the site whose key is next to its own and walks from a triangle
-there (Muecke, Saias & Zhu 1996), a few triangles at any n.  Queries write
-nothing, so after the build the mesh is read-only.
+jumps to the first site keyed in its cell of a coarser grid and walks
+from a triangle there (Muecke, Saias & Zhu 1996), a few triangles at any
+n.  Queries write nothing, so after the build the mesh is read-only.
 Cocircular ties are broken by a symbolic perturbation that treats
 lower-indexed sites as infinitesimally lifted, which makes the result
 independent of insertion order.  A triangle's vertex order is fixed when
@@ -20,11 +20,11 @@ replaces, and nothing renumbers the rest.  The public views are sorted
 copies, built once after the last insertion.
 
 Virtual insertion computes the cavity and fan a query point would create
-without mutating the mesh, and alone places a query: the walk finds it, and
-the sites on the cavity cycle hold the nearest one for the snap.  The
-circumcircles along each fan edge give an independent route to the lune
-angles, and the circumcenter polygons of the fan give Sibson's stolen-area
-weights.
+without mutating the mesh, and alone places a mesh query: the walk finds
+it, and the sites on the cavity cycle hold the nearest one for the snap
+and every lune neighbour that is no hull corner.  The circumcircles along
+each fan edge give an independent route to the lune angles, and the
+circumcenter polygons of the fan give Sibson's stolen-area weights.
 """
 
 from __future__ import annotations
@@ -48,12 +48,12 @@ _BRIO_SEED = 20030101
 _HILBERT_BITS = 16
 
 
-def _hilbert_key(x: int, y: int) -> int:
-    """Position of cell (x, y) along a Hilbert curve over the
-    2**_HILBERT_BITS square grid."""
+def _hilbert_key(x: int, y: int, bits: int = _HILBERT_BITS) -> int:
+    """Position of cell (x, y) along a Hilbert curve over the 2**bits square
+    grid; its top 2b bits key cell (x, y) >> (bits - b) on the 2**b grid."""
     key = 0
-    mask = (1 << _HILBERT_BITS) - 1
-    s = 1 << (_HILBERT_BITS - 1)
+    mask = (1 << bits) - 1
+    s = 1 << (bits - 1)
     while s:
         # Bits (x, y) = 00, 01, 11, 10 give quadrant digits 0, 1, 2, 3.  The
         # curve turns in quadrants 0 and 3: the lower bits swap, and in
@@ -69,18 +69,19 @@ def _hilbert_key(x: int, y: int) -> int:
     return key
 
 
-def _cell_key(box, p) -> int:
-    """Hilbert key of the cell that holds p on the 2**_HILBERT_BITS square
-    grid over box (x0, y0, width, height).  A point off the box takes the
-    nearest cell: its offsets are clamped in float, before int(), so that
-    a coordinate near 2**1000 cannot overflow."""
-    side = 1 << _HILBERT_BITS
+def _cell_key(box, p, bits: int = _HILBERT_BITS) -> int:
+    """Hilbert key of the cell that holds p on the 2**bits square grid over
+    box (x0, y0, width, height).  A point off the box takes the nearest
+    cell: its offsets are clamped in float, before int(), so that a
+    coordinate near 2**1000 cannot overflow."""
+    side = 1 << bits
     x0, y0, w, h = box
     u = (p[0] - x0) / w
     v = (p[1] - y0) / h
     return _hilbert_key(
         side - 1 if u >= 1.0 else int(u * side) if u > 0.0 else 0,
         side - 1 if v >= 1.0 else int(v * side) if v > 0.0 else 0,
+        bits,
     )
 
 
@@ -163,6 +164,7 @@ class Triangulation:
         self._finalize()
         self._key_sites = sorted(range(len(keys)), key=keys.__getitem__)
         self._keys = [keys[i] for i in self._key_sites]
+        self._bits = min(((len(keys) - 1).bit_length() + 1) // 2 + 1, _HILBERT_BITS)
 
     # -- public views ------------------------------------------------
 
@@ -204,7 +206,7 @@ class Triangulation:
         elif v == GHOST or (w != GHOST and w < u and w < v):
             u, v, w = w, u, v
             nbrs = [nbrs[2], nbrs[0], nbrs[1]]
-        self._verts[t] = [u, v, w]
+        self._verts[t] = (u, v, w)
         self._nbrs[t] = nbrs
 
     def _in_disk(self, t, p, pidx) -> bool:
@@ -317,7 +319,7 @@ class Triangulation:
             key=verts.__getitem__,
         )
         position = {t: i for i, t in enumerate(finite)}
-        self.triangles = tuple(tuple(verts[t]) for t in finite)
+        self.triangles = tuple(verts[t] for t in finite)
         self.neighbors = tuple(
             tuple(position.get(nb) for nb in self._nbrs[t]) for t in finite
         )
@@ -328,6 +330,14 @@ class Triangulation:
 
     # -- virtual insertion -------------------------------------------
 
+    def _walk_cavity(self, p):
+        """(cavity, cycle) of the virtual insertion of the framed point p, no
+        site, on or outside the hull too.  The walk starts at the first site
+        keyed in p's cell of the 2**_bits grid, about four cells a site."""
+        key = _cell_key(self._samples._box, p, self._bits) << 2 * (_HILBERT_BITS - self._bits)
+        j = min(bisect.bisect_left(self._keys, key), len(self._keys) - 1)
+        return self._cavity(self._locate(p, self._incident[self._key_sites[j]]), p, len(self._pts))
+
     def _virtual_cavity(self, s):
         """(point, cavity, cycle) of the virtual insertion of s.  A query
         that snaps to a site raises CoincidentQueryError, one on or outside
@@ -337,18 +347,12 @@ class Triangulation:
         p = self._samples._frame(s)
         i = self._samples._index.get(p)
         if i is None:
-            # Jump to the site whose key is next to p's, then walk (Muecke,
-            # Saias & Zhu 1996).
-            j = min(bisect.bisect_left(self._keys, _cell_key(self._samples._box, p)), len(self._keys) - 1)
-            t = self._locate(p, self._incident[self._key_sites[j]])
-            cavity, cycle = self._cavity(t, p, len(self._pts))
+            cavity, cycle = self._walk_cavity(p)
             # Every site nearest to p borders the cavity: the circle on
             # diameter p-q holds no other site.
             i = _snap(self._samples, p.x, p.y, (u for u, _, _, _ in cycle if u != GHOST))
         if i is not None:
             raise CoincidentQueryError("query coincides with site %d" % i, i)
-        if self._verts[t][2] == GHOST:
-            raise OutsideDomainError("query lies outside the site hull")
         if any(self._verts[c][2] == GHOST for c in cavity):
             raise OutsideDomainError("query lies on or outside the site hull")
         return p, cavity, cycle
@@ -358,13 +362,12 @@ class Triangulation:
         at s between the circumcircles of the two fan triangles flanking
         the new edge.  The mesh is left untouched."""
         p, _, cycle = self._virtual_cavity(s)
-        circles = [
-            circumcircle(self._pts[u], self._pts[v], p) for u, v, _, _ in cycle
+        circles = [circumcircle(self._pts[u], self._pts[v], p) for u, v, _, _ in cycle]
+        entries = [
+            (u, circle_angle_at_common_point(circles[j - 1], circles[j], p)) for j, (u, _, _, _) in enumerate(cycle)
         ]
-        entries = []
-        for j, (u, _, _, _) in enumerate(cycle):
-            theta = circle_angle_at_common_point(circles[j - 1], circles[j], p)
-            entries.append((u, theta))
+        if not all(math.isfinite(theta) for _, theta in entries):
+            raise DegenerateInputError("lune angles left the float range")
         return LuneAngleSet(tuple(sorted(entries)))
 
     def sibson_weights(self, s) -> WeightVector:
@@ -372,17 +375,9 @@ class Triangulation:
         cell of s that each neighbor's Voronoi cell loses to it."""
         p, cavity, cycle = self._virtual_cavity(s)
         k = len(cycle)
-        fan_centers = [
-            circumcircle(self._pts[u], self._pts[v], p).center for u, v, _, _ in cycle
-        ]
-        old_centers = {
-            t: circumcircle(
-                self._pts[self._verts[t][0]],
-                self._pts[self._verts[t][1]],
-                self._pts[self._verts[t][2]],
-            ).center
-            for t in cavity
-        }
+        pts, verts = self._pts, self._verts
+        fan_centers = [circumcircle(pts[u], pts[v], p).center for u, v, _, _ in cycle]
+        old_centers = {t: circumcircle(pts[verts[t][0]], pts[verts[t][1]], pts[verts[t][2]]).center for t in cavity}
         areas = []
         for j in range(k):
             vj = cycle[j][0]
@@ -400,8 +395,11 @@ class Triangulation:
             else:
                 raise DegenerateInputError("mesh invariant broken: stolen-area walk did not close")
             areas.append(max(0.0, _shoelace(poly)))
-        total = math.fsum(areas)
-        entries = sorted((cycle[j][0], areas[j] / total) for j in range(k))
+        try:
+            total = math.fsum(areas)
+            entries = sorted((cycle[j][0], areas[j] / total) for j in range(k))
+        except (OverflowError, ZeroDivisionError):
+            raise DegenerateInputError("stolen areas left the float range") from None
         return WeightVector(tuple(entries))
 
     def voronoi_cell_polygon(self, site_index: int) -> VoronoiCell:
@@ -441,6 +439,8 @@ def _shoelace(poly) -> float:
         x0, y0 = poly[i]
         x1, y1 = poly[(i + 1) % len(poly)]
         total += x0 * y1 - x1 * y0
+    if not math.isfinite(total):
+        raise DegenerateInputError("stolen areas left the float range")
     return 0.5 * total
 
 

@@ -11,11 +11,15 @@ to sites and query alike.
 A site at distance d has its image at radius 1/d, so the code inverts
 only the sites within reach, ring by ring over a bucket grid that the
 first lune query builds in O(n), and gets the full construction's corners
-and angles bit for bit.
+and angles bit for bit.  A query on or near the site hull reaches about
+every site that way.  The second query that three rings leave open builds
+a Delaunay triangulation of the sites; from then on every query inverts
+only its natural neighbours there and the site hull corners.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,6 +103,8 @@ class SampleSet:
         x0, y0, x1, y1 = (math.ldexp(t, -e) for t in (x0, y0, x1, y1))
         self._box = (x0, y0, x1 - x0, y1 - y0)
         self._snap_radius = DEFAULT_SNAP_TOLERANCE * math.hypot(*self._box[2:])
+        # A Triangulation, which lune_angles builds on the second query that three ring blocks leave open.
+        self._mesh, self._misses = None, 0
 
     @property
     def sites(self):
@@ -248,6 +254,27 @@ def _rings(samples: SampleSet, p: Point):
         done, k = k, 2 * k
 
 
+def _candidates(samples: SampleSet, p: Point):
+    """Yield _rings(samples, p) up to its third block.  The set's first
+    query that needs more goes on ring by ring; the second builds
+    samples._mesh.  From then on a query's one batch, with reach None, is
+    the sites on the cycle of its virtual-insertion cavity and the site
+    hull corners."""
+    if samples._mesh is None:
+        rings = _rings(samples, p)
+        yield from itertools.islice(rings, 3)
+        samples._misses += 1
+        if samples._misses == 1:
+            yield from rings
+        from .delaunay import build_delaunay
+        samples._mesh = build_delaunay(samples)
+    i = samples._index.get(p)
+    if i is not None:
+        raise CoincidentQueryError("query coincides with site %d" % i, i)
+    _, cycle = samples._mesh._walk_cavity(p)
+    yield {u for u, _, _, _ in cycle if u >= 0}.union(samples.hull), None
+
+
 def classify_query(samples: SampleSet, s) -> QueryClass:
     """Snap s to a site as _snap does over the 3x3 block of grid cells
     around s, which holds every site within the snap radius, otherwise
@@ -290,10 +317,12 @@ def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
     left out lie in that disk, so none is a corner.  A point inside or on
     the hull of a subset is no corner, so only a ring's corners go on.
     For s on or outside the site hull every site is reached: the origin
-    is then not strictly inside the images' hull."""
+    is then not strictly inside the images' hull.  With a mesh (_candidates),
+    a neighbour q has a circle through q and s with every other site on one
+    side: outside, and q neighbours s in it; inside, and q is a hull corner."""
     p = samples._frame(s)
     images = {}
-    for new, reach in _rings(samples, p):
+    for new, reach in _candidates(samples, p):
         images.update(_inverted_images(samples, p, new))
         order = sorted(images)
         points = [images[i] for i in order]

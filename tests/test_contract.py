@@ -1,0 +1,130 @@
+"""The public contract on hard inputs: every call returns a finite value
+or raises an exception from lunenn.errors.
+
+Near-coincident, cocircular, all-but-one-collinear and huge-range site
+sets, queried inside, near a site, on an edge, past the hull and far
+away, through interpolate(allow_exterior=True), lune_angles,
+sibson_interpolate, lune_angles_oracle and voronoi_cell_polygon.  The
+lune calls run on each set twice: ring by ring, and with the mesh that
+names their candidates.
+"""
+
+import math
+import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lunenn import (
+    SampleSet,
+    build_delaunay,
+    errors,
+    interpolate,
+    lune_angles,
+    lune_angles_oracle,
+    sibson_interpolate,
+    voronoi_cell_polygon,
+)
+
+LIBRARY_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception))
+
+
+def _sites(kind, rng):
+    if kind == "near-coincident":
+        base = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.choice((4, 12, 30)))]
+        near = []
+        for x, y in base[: rng.randint(1, len(base))]:
+            steps = rng.choice((1, 2, 1e3, 1e6))
+            near.append((x + steps * math.ulp(x) * rng.choice((-1, 1)), y + steps * math.ulp(y) * rng.choice((-1, 0, 1))))
+        return base + near
+    if kind == "cocircular":
+        # Integer points on x^2 + y^2 = r^2, exactly cocircular, with the
+        # centre or an integer lattice inside some of the time.
+        r = rng.choice((5, 25, 65))
+        sites = [(float(x), float(y)) for x in range(-r, r + 1) for y in range(-r, r + 1) if x * x + y * y == r * r]
+        if rng.random() < 0.5:
+            sites.append((0.0, 0.0))
+        if rng.random() < 0.3:
+            sites += [(float(x), float(y)) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+        return sites
+    if kind == "collinear-but-one":
+        slope = rng.choice((0.0, 1.0, 0.125, rng.uniform(-3, 3)))
+        sites = [(float(x), slope * x) for x in range(rng.choice((3, 10, 40)))]
+        x = rng.uniform(0, len(sites))
+        gap = rng.choice((1.0, 1e-6, 1e-12, 1e-100))
+        return sites + [(x, slope * x + rng.choice((-1, 1)) * gap)]
+    # Huge range: magnitudes from near the bottom to near the top of the
+    # float range, in one set or across a set scaled as a whole.
+    if rng.random() < 0.5:
+        scale = 10.0 ** rng.choice((-300, -150, 150, 300, 307))
+        return [(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale) for _ in range(rng.choice((5, 20)))]
+    return [
+        (rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300), rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300))
+        for _ in range(rng.choice((5, 20)))
+    ]
+
+
+def _queries(rng, sites):
+    xs = [x for x, _ in sites]
+    ys = [y for _, y in sites]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    for _ in range(2):
+        yield rng.uniform(x0, x1), rng.uniform(y0, y1)
+    a, b = rng.choice(sites), rng.choice(sites)
+    yield a
+    yield a[0] + rng.choice((1e-13, 1e-9)) * (x1 - x0), a[1]
+    yield 0.5 * a[0] + 0.5 * b[0], 0.5 * a[1] + 0.5 * b[1]
+    yield x1 + rng.uniform(0, 2) * (x1 - x0), rng.uniform(y0, y1)
+    yield rng.choice((-1e300, 1e300)), rng.choice((-1.0, 1e300))
+
+
+def _finite(value):
+    if isinstance(value, complex):
+        return math.isfinite(value.real) and math.isfinite(value.imag)
+    return math.isfinite(value)
+
+
+def _holds(call):
+    """Whether call() returns finite numbers or raises a library error."""
+    try:
+        result = call()
+    except LIBRARY_ERRORS:
+        return True
+    if hasattr(result, "entries"):
+        return all(_finite(a) for _, a in result.entries)
+    if hasattr(result, "bounded"):
+        points = result.vertices if result.bounded else result.ray_directions
+        return all(_finite(t) for p in points for t in p)
+    return _finite(result)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(kind="cocircular", seed=0)
+@example(kind="huge-range", seed=1)
+# Sibson's stolen areas overflow: they once raised ZeroDivisionError.
+@example(kind="huge-range", seed=15)
+@given(
+    kind=st.sampled_from(("near-coincident", "cocircular", "collinear-but-one", "huge-range")),
+    seed=st.integers(0, 2**32),
+)
+def test_every_public_call_returns_a_finite_value_or_a_library_error(kind, seed):
+    rng = random.Random(seed)
+    sites = _sites(kind, rng)
+    queries = list(_queries(rng, sites))
+    z = [rng.choice((rng.uniform(-1, 1), 1.7e308, complex(-1e308, rng.uniform(-1, 1)))) for _ in sites]
+    try:
+        samples = SampleSet(sites, z)
+        tri = build_delaunay(samples)
+    except LIBRARY_ERRORS:
+        return
+    for q in queries:
+        assert _holds(lambda: sibson_interpolate(tri, z, q)), q
+        assert _holds(lambda: lune_angles_oracle(tri, q)), q
+    for i in range(samples.size):
+        assert _holds(lambda: voronoi_cell_polygon(tri, i)), i
+    # Ring by ring first, then from the mesh.
+    for mesh in (None, tri):
+        samples._mesh = mesh
+        for q in queries:
+            assert _holds(lambda: interpolate(samples, q, allow_exterior=True)), (mesh, q)
+            assert _holds(lambda: lune_angles(samples, q)), (mesh, q)

@@ -848,3 +848,84 @@ def test_every_query_hulls_about_n_points(monkeypatch, kind):
         angles = lune_angles(samples, s)
         assert 0 < sum(hulled) <= 1.1 * samples.size
         assert angles == _lune_angles_literal(samples, s)
+
+
+# ------------------------------------------------ lune candidates from the mesh
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@example(sites="lattice", query="near-site", seed=0, eps=0.0, k=0)
+@example(sites="random", query="interior", seed=1, eps=0.0, k=-1000)
+@given(
+    sites=st.sampled_from(("random", "lattice", "clustered", "skinny")),
+    query=st.sampled_from(("interior", "near-edge", "near-site", "outside")),
+    seed=st.integers(0, 2**32),
+    eps=st.sampled_from((0.0, 1e-13, -1e-13, 1e-11, 1e-9, -1e-9, 1e-6)),
+    k=st.one_of(st.just(0), st.integers(-600, 600), st.integers(-1000, 1000)),
+)
+def test_lune_angles_from_the_mesh_match_the_literal_construction(sites, query, seed, eps, k):
+    # As above, with the mesh in place: every query then inverts and hulls
+    # only its Delaunay neighbours and the site hull corners.
+    rng = random.Random(seed)
+    samples = _pruning_sites(sites, rng, 2.0 ** k)
+    samples._mesh = build_delaunay(samples)
+    m = math.frexp(max(abs(t) for p in samples.sites for t in p))[1]
+    e = max(m - 256, 0) + min(m + 256, 0)
+    framed = SampleSet([(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in samples.sites], [0.0] * samples.size)
+    for _ in range(8):
+        s = _pruning_query(query, rng, samples, eps)
+        fs = (math.ldexp(s[0], -e), math.ldexp(s[1], -e))
+        assert _outcome(lune_angles, samples, s) == _outcome(_lune_angles_literal, framed, fs)
+
+
+def _square_with_uniform_sites(seed):
+    rng = random.Random(seed)
+    corners = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+    sites = corners + [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(1996)]
+    return rng, SampleSet(sites, [x - y for x, y in sites])
+
+
+def _near_hull_query(rng):
+    return rng.uniform(-1, 1), rng.choice((-1.0, 1.0)) * rng.uniform(0.995, 0.9999)
+
+
+@pytest.mark.parametrize("kind", ["near-hull", "exterior"])
+def test_queries_at_the_hull_hull_few_points_once_the_mesh_exists(monkeypatch, kind):
+    # Two queries that the rings leave open build the mesh; after that a
+    # query near or past the hull hulls its neighbours and the 4 corners.
+    rng, samples = _square_with_uniform_sites(457)
+    lune_angles(samples, (0.3, 2.0))
+    lune_angles(samples, (-0.3, -2.0))
+    assert samples._mesh is not None
+    module = sys.modules["lunenn.interpolate"]
+    hulled = []
+    monkeypatch.setattr(module, "convex_hull", lambda points: hulled.append(len(points)) or convex_hull(points))
+    for _ in range(10):
+        side = rng.choice((-1.0, 1.0))
+        s = _near_hull_query(rng) if kind == "near-hull" else (rng.uniform(-3, 3), side * rng.uniform(1.01, 3))
+        hulled.clear()
+        angles = lune_angles(samples, s)
+        assert 0 < sum(hulled) < 200
+        assert angles == _lune_angles_literal(samples, s)
+
+
+def test_only_the_second_query_the_rings_leave_open_builds_the_mesh(monkeypatch):
+    delaunay = sys.modules["lunenn.delaunay"]
+    built = []
+    init = delaunay.Triangulation.__init__
+    monkeypatch.setattr(delaunay.Triangulation, "__init__", lambda self, samples: built.append(samples) or init(self, samples))
+    rng, samples = _square_with_uniform_sites(461)
+    lune_angles(samples, _near_hull_query(rng))
+    lune_angles(samples, (0.1, 0.2))
+    assert built == [] and samples._mesh is None
+    lune_angles(samples, _near_hull_query(rng))
+    assert built == [samples] and samples._mesh is not None
+    for _ in range(3):
+        lune_angles(samples, _near_hull_query(rng))
+        lune_angles(samples, (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
+    assert built == [samples]
+    # A set whose only query is left open by the rings builds nothing.
+    built.clear()
+    rng, samples = _square_with_uniform_sites(463)
+    interpolate(samples, (5.0, 0.5), allow_exterior=True)
+    assert built == [] and samples._mesh is None
