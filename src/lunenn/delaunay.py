@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
-from .geometry import Point, circle_angle_at_common_point, circumcircle
+from .geometry import Point, circumcircle
 from .interpolate import LuneAngleSet, SampleSet, WeightVector, _blend, _elevation, _finite_point, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
@@ -362,10 +362,14 @@ class Triangulation:
         at s between the circumcircles of the two fan triangles flanking
         the new edge.  The mesh is left untouched."""
         p, _, cycle = self._virtual_cavity(s)
-        circles = [circumcircle(self._pts[u], self._pts[v], p) for u, v, _, _ in cycle]
-        entries = [
-            (u, circle_angle_at_common_point(circles[j - 1], circles[j], p)) for j, (u, _, _, _) in enumerate(cycle)
-        ]
+        # Each fan circle is solved from p, which lies on it by construction:
+        # from a site, a fan triangle with p near its other site cancels.
+        centers = [circumcircle(p, self._pts[u], self._pts[v]).center for u, v, _, _ in cycle]
+        entries = []
+        for j, (u, _, _, _) in enumerate(cycle):
+            ux, uy = p.x - centers[j - 1].x, p.y - centers[j - 1].y
+            vx, vy = p.x - centers[j].x, p.y - centers[j].y
+            entries.append((u, math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)))
         if not all(math.isfinite(theta) for _, theta in entries):
             raise DegenerateInputError("lune angles left the float range")
         return LuneAngleSet(tuple(sorted(entries)))

@@ -13,8 +13,9 @@ only the sites within reach, ring by ring over a bucket grid that the
 first lune query builds in O(n), and gets the full construction's corners
 and angles bit for bit.  A query on or near the site hull reaches about
 every site that way.  The second query that three rings leave open builds
-a Delaunay triangulation of the sites; from then on every query inverts
-only its natural neighbours there and the site hull corners.
+a Delaunay triangulation of the sites.  From then on one virtual insertion
+places each query, and the exact mesh decides its neighbours: an interior
+query inverts only its cavity cycle, other queries the hull corners too.
 """
 
 from __future__ import annotations
@@ -258,8 +259,7 @@ def _candidates(samples: SampleSet, p: Point):
     """Yield _rings(samples, p) up to its third block.  The set's first
     query that needs more goes on ring by ring; the second builds
     samples._mesh.  From then on a query's one batch, with reach None, is
-    the sites on the cycle of its virtual-insertion cavity and the site
-    hull corners."""
+    its candidates from _place."""
     if samples._mesh is None:
         rings = _rings(samples, p)
         yield from itertools.islice(rings, 3)
@@ -268,11 +268,32 @@ def _candidates(samples: SampleSet, p: Point):
             yield from rings
         from .delaunay import build_delaunay
         samples._mesh = build_delaunay(samples)
-    i = samples._index.get(p)
+    cls, candidates = _place(samples, p, snap=False)
+    if cls.site_index is not None:
+        raise CoincidentQueryError("query coincides with site %d" % cls.site_index, cls.site_index)
+    yield candidates, None
+
+
+def _place(samples: SampleSet, p: Point, snap: bool = True):
+    """(QueryClass, candidates) of the framed point p from one virtual
+    insertion into samples._mesh, snapping (if snap) over the cycle sites
+    as _virtual_cavity does.  A ghost in the cavity puts p on the hull if
+    its edge passes through p, else outside it, and adds the hull corners
+    to the cycle sites.  A lune neighbour q has a circle through p and q
+    with every other site outside, and q neighbours p in the mesh, or
+    inside, and p lies on or outside the hull."""
+    mesh, i = samples._mesh, samples._index.get(p)
+    if i is None:
+        cavity, cycle = mesh._walk_cavity(p)
+        sites = {u for u, _, _, _ in cycle if u >= 0}
+        i = _snap(samples, p.x, p.y, sites) if snap else None
     if i is not None:
-        raise CoincidentQueryError("query coincides with site %d" % i, i)
-    _, cycle = samples._mesh._walk_cavity(p)
-    yield {u for u, _, _, _ in cycle if u >= 0}.union(samples.hull), None
+        return QueryClass(QueryKind.COINCIDENT, i), None
+    ghosts = [mesh._verts[t] for t in cavity if mesh._verts[t][2] < 0]
+    if not ghosts:
+        return QueryClass(QueryKind.INTERIOR), sites
+    on = any(orientation_sign(mesh._pts[v], mesh._pts[u], p) == 0 for u, v, _ in ghosts)
+    return QueryClass(QueryKind.ON_BOUNDARY if on else QueryKind.EXTERIOR), sites.union(samples.hull)
 
 
 def classify_query(samples: SampleSet, s) -> QueryClass:
@@ -317,12 +338,16 @@ def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
     left out lie in that disk, so none is a corner.  A point inside or on
     the hull of a subset is no corner, so only a ring's corners go on.
     For s on or outside the site hull every site is reached: the origin
-    is then not strictly inside the images' hull.  With a mesh (_candidates),
-    a neighbour q has a circle through q and s with every other site on one
-    side: outside, and q neighbours s in it; inside, and q is a hull corner."""
+    is then not strictly inside the images' hull.  With a mesh, the sites
+    are the cavity cycle of s, and the hull corners if s is not interior."""
     p = samples._frame(s)
+    return _lune_angles(samples, p, _candidates(samples, p))
+
+
+def _lune_angles(samples: SampleSet, p: Point, batches) -> LuneAngleSet:
+    """lune_angles of the framed point p, from batches of (site indices, reach)."""
     images = {}
-    for new, reach in _candidates(samples, p):
+    for new, reach in batches:
         images.update(_inverted_images(samples, p, new))
         order = sorted(images)
         points = [images[i] for i in order]
@@ -374,15 +399,21 @@ def interpolate(
     """Blend the neighbor elevations of s with normalized lune-angle
     weights.  Coincident queries return the site elevation exactly;
     boundary queries fail; exterior queries fail unless allow_exterior
-    is set, in which case the same construction is evaluated."""
-    cls = classify_query(samples, s)
+    is set, in which case the same construction is evaluated.  Once the
+    set holds its mesh, _place classifies s and names its candidates."""
+    p = samples._frame(s)
+    if samples._mesh is None:
+        cls, batches = classify_query(samples, s), _candidates(samples, p)
+    else:
+        cls, candidates = _place(samples, p)
+        batches = [(candidates, None)]
     if cls.kind is QueryKind.COINCIDENT:
         return samples.elevations[cls.site_index]
     if cls.kind is QueryKind.ON_BOUNDARY:
         raise DegenerateBoundaryError("query lies on the sample hull boundary")
     if cls.kind is QueryKind.EXTERIOR and not allow_exterior:
         raise OutsideDomainError("query lies outside the sample hull")
-    return _blend(weights_from_angles(lune_angles(samples, s), weight_fn), samples.elevations)
+    return _blend(weights_from_angles(_lune_angles(samples, p, batches), weight_fn), samples.elevations)
 
 
 def _blend(weights: WeightVector, elevations):

@@ -6,7 +6,8 @@ sets, queried inside, near a site, on an edge, past the hull and far
 away, through interpolate(allow_exterior=True), lune_angles,
 sibson_interpolate, lune_angles_oracle and voronoi_cell_polygon.  The
 lune calls run on each set twice: ring by ring, and with the mesh that
-names their candidates.
+names their candidates.  With the mesh, interpolate must also classify
+each query as classify_query does.
 """
 
 import math
@@ -25,6 +26,7 @@ from lunenn import (
     sibson_interpolate,
     voronoi_cell_polygon,
 )
+from lunenn.interpolate import QueryKind, classify_query
 
 LIBRARY_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception))
 
@@ -128,3 +130,17 @@ def test_every_public_call_returns_a_finite_value_or_a_library_error(kind, seed)
         for q in queries:
             assert _holds(lambda: interpolate(samples, q, allow_exterior=True)), (mesh, q)
             assert _holds(lambda: lune_angles(samples, q)), (mesh, q)
+    # The mesh classifies as classify_query does.  Which site a coincident
+    # query snaps to is left open: on huge-range sets two sites can have
+    # bit-equal squared distances within the snap radius.
+    for q in queries:
+        kind = classify_query(samples, q).kind
+        try:
+            value, error = interpolate(samples, q), None
+        except LIBRARY_ERRORS as exc:
+            error = exc
+        assert (kind is QueryKind.EXTERIOR) == isinstance(error, errors.OutsideDomainError), (kind, q, error)
+        on_boundary = isinstance(error, errors.DegenerateBoundaryError) and str(error).endswith("hull boundary")
+        assert (kind is QueryKind.ON_BOUNDARY) == on_boundary, (kind, q, error)
+        if kind is QueryKind.COINCIDENT:
+            assert error is None and value in samples.elevations, (q, error)

@@ -445,6 +445,19 @@ def test_oracle_agrees_with_inverted_hull():
                 assert abs(a - b) <= 1e-9
 
 
+def test_oracle_answers_a_query_on_a_thin_fan_circle():
+    # The query lies 1e-8 from the site (-4, -3), so the fan circles through
+    # both are thin, and a relative residual test of 1e-9 refused it.
+    sites = [(float(x), float(y)) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+    samples = SampleSet(sites, [0.0] * len(sites))
+    s = (-3.99999999, -3.0)
+    direct = lune_angles(samples, s)
+    oracle = lune_angles_oracle(build_delaunay(samples), s)
+    assert direct.indices == oracle.indices and len(direct.indices) == 12
+    for a, b in zip(direct.angles, oracle.angles):
+        assert abs(a - b) <= 1e-9
+
+
 def test_oracle_angle_sum():
     rng = random.Random(233)
     samples = _random_samples(rng, n=20)

@@ -929,3 +929,85 @@ def test_only_the_second_query_the_rings_leave_open_builds_the_mesh(monkeypatch)
     rng, samples = _square_with_uniform_sites(463)
     interpolate(samples, (5.0, 0.5), allow_exterior=True)
     assert built == [] and samples._mesh is None
+
+
+# ------------------------------------------------- one placement on the mesh
+
+# A quadrilateral hull, two sites 2e-13 apart (within twice the snap radius,
+# about 5.7e-12 here) and a few interior ones.
+PLACEMENT_SITES = [(0.0, 0.0), (3.0, 1.0), (2.0, 4.0), (-1.0, 3.0), (1.5, 1.5), (1.5 + 2e-13, 1.5), (0.5, 2.0), (2.0, 2.5)]
+PLACEMENT_Z = [1.0, -2.0, 3.5, 0.25, 7.0, -7.0, 0.5, 2.0]
+PLACEMENT_QUERIES = [
+    # A few ulps off the hull edge (0, 0) -> (3, 1), inside and outside.
+    (1.5, 0.5 + 3 * math.ulp(0.5)),
+    (1.5, 0.5 - 3 * math.ulp(0.5)),
+    (1.5, math.nextafter(0.5, 1.0)),
+    (1.5, math.nextafter(0.5, 0.0)),
+    # On that edge, and on its line past either end.
+    (1.5, 0.5),
+    (6.0, 2.0),
+    (-3.0, -1.0),
+    # Within the snap radius of an interior site and of a hull corner.
+    (0.5 + 1e-13, 2.0),
+    (3.0 + 1e-13, 1.0),
+    # Near-ties between the two close sites.
+    (1.5 + 1e-13, 1.5),
+    (1.5 + 1e-13, 1.5 + 1e-13),
+    (math.nextafter(1.5 + 1e-13, 2.0), 1.5 - 1e-13),
+    (0.9, 1.9),
+]
+
+
+def _interpolated(samples, s, allow_exterior):
+    try:
+        return interpolate(samples, s, allow_exterior=allow_exterior)
+    except (CoincidentQueryError, DegenerateBoundaryError, DegenerateInputError, OutsideDomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("allow_exterior", [False, True])
+def test_a_meshed_set_classifies_and_interpolates_as_a_fresh_one(allow_exterior):
+    place = sys.modules["lunenn.interpolate"]._place
+    meshed = SampleSet(PLACEMENT_SITES, PLACEMENT_Z)
+    meshed._mesh = build_delaunay(meshed)
+    kinds = set()
+    for s in PLACEMENT_QUERIES:
+        fresh = SampleSet(PLACEMENT_SITES, PLACEMENT_Z)
+        cls = classify_query(fresh, s)
+        kinds.add(cls.kind)
+        assert place(meshed, meshed._frame(s))[0] == cls, s
+        assert _interpolated(meshed, s, allow_exterior) == _interpolated(fresh, s, allow_exterior), s
+        assert fresh._mesh is None
+    assert kinds == set(QueryKind)
+
+
+def test_a_meshed_set_places_each_interpolate_query_once(monkeypatch):
+    # Once the mesh exists, interpolate reads the class and the candidates
+    # off one virtual insertion, and an interior query inverts its cavity
+    # cycle alone: no hull corner that is not its neighbour.
+    module = sys.modules["lunenn.interpolate"]
+    rng, samples = _square_with_uniform_sites(467)
+    samples._mesh = build_delaunay(samples)
+    monkeypatch.setattr(module, "classify_query", lambda *args: pytest.fail("classify_query called"))
+    walk = samples._mesh._walk_cavity
+    cycles = []
+
+    def walk_once(p):
+        cavity, cycle = walk(p)
+        cycles.append(cycle)
+        return cavity, cycle
+
+    monkeypatch.setattr(samples._mesh, "_walk_cavity", walk_once)
+    inverted = []
+    invert = module._inverted_images
+    monkeypatch.setattr(module, "_inverted_images", lambda samples, p, indices: inverted.append(set(indices)) or invert(samples, p, indices))
+    queries = [(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(20)]
+    queries += [_near_hull_query(rng) for _ in range(5)] + [(rng.uniform(-3, 3), 1.5), samples.sites[7]]
+    for k, s in enumerate(queries):
+        cycles.clear()
+        inverted.clear()
+        interpolate(samples, s, allow_exterior=True)
+        assert len(cycles) == (0 if k == len(queries) - 1 else 1)
+        if k < 20:
+            assert inverted == [{u for u, _, _, _ in cycles[0]}]
+            assert not inverted[0] & set(samples.hull)
