@@ -67,14 +67,7 @@ def _parse_grid(text):
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("expected XMIN,XMAX,YMIN,YMAX,NX,NY")
     try:
-        return (
-            float(parts[0]),
-            float(parts[1]),
-            float(parts[2]),
-            float(parts[3]),
-            int(parts[4]),
-            int(parts[5]),
-        )
+        return (*map(float, parts[:4]), int(parts[4]), int(parts[5]))
     except ValueError:
         raise argparse.ArgumentTypeError("expected four floats and two ints") from None
 

@@ -22,9 +22,12 @@ copies, built once after the last insertion.
 Virtual insertion computes the cavity and fan a query point would create
 without mutating the mesh, and alone places a mesh query: the walk finds
 it, and the sites on the cavity cycle hold the nearest one for the snap
-and every lune neighbour that is no hull corner.  The circumcircles along
-each fan edge give an independent route to the lune angles, and the
-circumcenter polygons of the fan give Sibson's stolen-area weights.
+and every lune neighbour that is no hull corner.  The fan's circumcircles
+give an independent route to the lune angles, and its circumcenter
+polygons Sibson's stolen areas, each a shoelace summed along the walk
+that visits its centers.  The exact predicates fixed every orientation:
+a mesh triangle turns left when made, a fan triangle (u, v, p) since the
+cavity is star-shaped from p, so circumcenters run no orientation test.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
-from .geometry import Point, circumcircle
+from .geometry import Point, _circumcenter
 from .interpolate import LuneAngleSet, SampleSet, WeightVector, _blend, _elevation, _finite_point, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
@@ -323,10 +326,11 @@ class Triangulation:
         self.neighbors = tuple(
             tuple(position.get(nb) for nb in self._nbrs[t]) for t in finite
         )
-        self._incident = {}
-        for t in finite:
+        # Every site is a vertex of some finite triangle; each takes its first.
+        self._incident = [None] * len(self._pts)
+        for t in reversed(finite):
             for v in verts[t]:
-                self._incident.setdefault(v, t)
+                self._incident[v] = t
 
     # -- virtual insertion -------------------------------------------
 
@@ -364,11 +368,11 @@ class Triangulation:
         p, _, cycle = self._virtual_cavity(s)
         # Each fan circle is solved from p, which lies on it by construction:
         # from a site, a fan triangle with p near its other site cancels.
-        centers = [circumcircle(p, self._pts[u], self._pts[v]).center for u, v, _, _ in cycle]
+        centers = [_circumcenter(p, self._pts[u], self._pts[v]) for u, v, _, _ in cycle]
         entries = []
         for j, (u, _, _, _) in enumerate(cycle):
-            ux, uy = p.x - centers[j - 1].x, p.y - centers[j - 1].y
-            vx, vy = p.x - centers[j].x, p.y - centers[j].y
+            ux, uy = p.x - centers[j - 1][0], p.y - centers[j - 1][1]
+            vx, vy = p.x - centers[j][0], p.y - centers[j][1]
             entries.append((u, math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)))
         if not all(math.isfinite(theta) for _, theta in entries):
             raise DegenerateInputError("lune angles left the float range")
@@ -378,30 +382,34 @@ class Triangulation:
         """Sibson's natural neighbor weights: the fraction of the virtual
         cell of s that each neighbor's Voronoi cell loses to it."""
         p, cavity, cycle = self._virtual_cavity(s)
-        k = len(cycle)
-        pts, verts = self._pts, self._verts
-        fan_centers = [circumcircle(pts[u], pts[v], p).center for u, v, _, _ in cycle]
-        old_centers = {t: circumcircle(pts[verts[t][0]], pts[verts[t][1]], pts[verts[t][2]]).center for t in cavity}
+        pts, verts, nbrs = self._pts, self._verts, self._nbrs
+        fan = [_circumcenter(pts[u], pts[v], p) for u, v, _, _ in cycle]
+        old = {t: _circumcenter(pts[a], pts[b], pts[c]) for t in cavity for a, b, c in (verts[t],)}
         areas = []
-        for j in range(k):
-            vj = cycle[j][0]
+        for j, (vj, _, _, t) in enumerate(cycle):
             prev_vertex = cycle[j - 1][0]
-            poly = [fan_centers[j - 1], fan_centers[j]]
-            t = cycle[j][3]
+            # The shoelace of fan centers j - 1 and j, then the old ones around vj.
+            (x0, y0, _), (x, y, _) = fan[j - 1], fan[j]
+            total = x0 * y - x * y0
             for _ in range(len(cavity)):
-                poly.append(old_centers[t])
-                slot = self._verts[t].index(vj)
-                if self._verts[t][(slot + 2) % 3] == prev_vertex:
+                cx, cy, _ = old[t]
+                total += x * cy - cx * y
+                x, y = cx, cy
+                slot = verts[t].index(vj)
+                if verts[t][(slot + 2) % 3] == prev_vertex:
                     break
-                t = self._nbrs[t][(slot + 2) % 3]
+                t = nbrs[t][(slot + 2) % 3]
                 if t not in cavity:
                     raise DegenerateInputError("mesh invariant broken: stolen-area walk left the cavity")
             else:
                 raise DegenerateInputError("mesh invariant broken: stolen-area walk did not close")
-            areas.append(max(0.0, _shoelace(poly)))
+            total += x * y0 - x0 * y
+            if not math.isfinite(total):
+                raise DegenerateInputError("stolen areas left the float range")
+            areas.append(max(0.0, 0.5 * total))
         try:
             total = math.fsum(areas)
-            entries = sorted((cycle[j][0], areas[j] / total) for j in range(k))
+            entries = sorted((cycle[j][0], areas[j] / total) for j in range(len(cycle)))
         except (OverflowError, ZeroDivisionError):
             raise DegenerateInputError("stolen areas left the float range") from None
         return WeightVector(tuple(entries))
@@ -431,21 +439,10 @@ class Triangulation:
                 break
         if rays:
             return VoronoiCell(site_index, None, (rays[0], rays[1]))
-        centers = [circumcircle(*(self._pts[v] for v in vs)).center for vs in ring]
+        centers = [_circumcenter(*(self._pts[v] for v in vs)) for vs in ring]
         scale = 2.0 ** self._samples._e
-        vertices = (_finite_point((c.x * scale, c.y * scale), "Voronoi vertex left the float range") for c in centers)
+        vertices = (_finite_point((c[0] * scale, c[1] * scale), "Voronoi vertex left the float range") for c in centers)
         return VoronoiCell(site_index, tuple(vertices), None)
-
-
-def _shoelace(poly) -> float:
-    total = 0.0
-    for i in range(len(poly)):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % len(poly)]
-        total += x0 * y1 - x1 * y0
-    if not math.isfinite(total):
-        raise DegenerateInputError("stolen areas left the float range")
-    return 0.5 * total
 
 
 def build_delaunay(samples: SampleSet) -> Triangulation:

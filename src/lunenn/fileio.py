@@ -147,11 +147,7 @@ def write_pgm(rows, path):
         raise DegenerateInputError("complex values cannot be rasterized")
     message = "grid values must be finite"
     finite = [_finite(v, message) for row in rows for v in row if v is not None]
-    if finite:
-        lo = min(finite)
-        hi = max(finite)
-    else:
-        lo = hi = 0.0
+    lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
     # Past the float range, offsets and span shrink by an exact 2**-9.
     k = 1.0 if math.isfinite(255.0 * (hi - lo)) else 2.0 ** -9
     span = hi * k - lo * k

@@ -55,6 +55,13 @@ def circumcircle(p, q, r) -> Circle:
     """Circle through three non-collinear points."""
     if orientation_sign(p, q, r) == 0:
         raise DegenerateInputError("circumcircle requires non-collinear points")
+    cx, cy, radius = _circumcenter(p, q, r)
+    return Circle(Point(cx, cy), radius)
+
+
+def _circumcenter(p, q, r):
+    """circumcircle of points known not to be collinear, as (cx, cy, radius)
+    checked as Circle checks them: no orientation test, no Circle."""
     # Translate so p is the origin; solves the perpendicular-bisector system.
     bx = q[0] - p[0]
     by = q[1] - p[1]
@@ -67,8 +74,14 @@ def circumcircle(p, q, r) -> Circle:
     c2 = cx * cx + cy * cy
     ux = (cy * b2 - by * c2) / d
     uy = (bx * c2 - cx * b2) / d
-    center = Point(p[0] + ux, p[1] + uy)
-    return Circle(center, math.hypot(ux, uy))
+    radius = math.hypot(ux, uy)
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise DegenerateInputError("circle radius must be finite and positive")
+    cx = p[0] + ux
+    cy = p[1] + uy
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise DegenerateInputError("circle center must be finite")
+    return cx, cy, radius
 
 
 def circle_angle_at_common_point(first: Circle, second: Circle, p) -> float:

@@ -365,7 +365,8 @@ def _lune_angles(samples: SampleSet, p: Point, batches) -> LuneAngleSet:
             break
         images = {order[c]: points[c] for c in corners}
     angles = turning_angles(points, corners)
-    if not all(map(math.isfinite, angles)):
+    # Images hundreds of orders of magnitude apart can turn by a float 0.
+    if not all(0.0 < theta <= math.pi for theta in angles):
         raise DegenerateInputError("lune angles left the float range")
     return LuneAngleSet(tuple(sorted(zip((order[c] for c in corners), angles))))
 

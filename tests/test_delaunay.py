@@ -256,6 +256,29 @@ def test_sibson_work_never_hulls_the_sites(monkeypatch):
     assert hulled == [2000]
 
 
+def test_mesh_circumcenters_run_no_orientation_test(monkeypatch):
+    # The exact predicates fixed the orientation of every mesh and fan
+    # triangle, so the query methods solve their circles without
+    # circumcircle's orientation test.
+    rng = random.Random(241)
+    sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(200)] + SQUARE_SITES
+    tri = build_delaunay(SampleSet(sites, [0.0] * len(sites)))
+    calls = []
+
+    def counting(p, q, r):
+        calls.append(None)
+        return orientation_sign(p, q, r)
+
+    monkeypatch.setattr(sys.modules["lunenn.geometry"], "orientation_sign", counting)
+    for _ in range(50):
+        q = (rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+        sibson_weights(tri, q)
+        lune_angles_oracle(tri, q)
+    cells = [voronoi_cell_polygon(tri, i) for i in range(len(sites))]
+    assert sum(cell.bounded for cell in cells) > 150
+    assert calls == []
+
+
 def test_queries_do_not_mutate():
     rng = random.Random(227)
     samples = _random_samples(rng, n=25)

@@ -12,10 +12,12 @@ from lunenn.geometry import (
     Circle,
     Point,
     circle_angle_at_common_point,
+    _circumcenter,
     circumcircle,
     is_infinite,
 )
 from lunenn.moebius import moebius_apply, moebius_from_inversion
+from lunenn.predicates import orientation_sign
 
 
 def test_invert_unit_circle_cases():
@@ -134,6 +136,29 @@ def test_circumcircle_residual():
         for p in pts:
             d = math.hypot(p.x - c.center.x, p.y - c.center.y)
             assert abs(d - c.radius) <= 1e-12 * max(1.0, c.radius)
+
+
+def test_circumcenter_is_circumcircle_without_the_orientation_test():
+    # The mesh's circumcenters skip the exact orientation test and the
+    # Circle; they must still give circumcircle's centre and radius bit
+    # for bit, on random triples and on cocircular lattice triples.
+    rng = random.Random(29)
+    triples = [[Point(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)] for _ in range(300)]
+    lattice = [Point(float(x), float(y)) for x in range(-3, 4) for y in range(-3, 4)]
+    triples += [rng.sample(lattice, 3) for _ in range(300)]
+    # Far from the origin the centre minus a vertex rounds away the radius.
+    triples.append([Point(1e20, 0.0), Point(1e20, 2.0), Point(1e20 + 16384.0, 0.0)])
+    checked = 0
+    for p, q, r in triples:
+        if orientation_sign(p, q, r) == 0:
+            continue
+        if orientation_sign(p, q, r) < 0:
+            q, r = r, q
+        c = circumcircle(p, q, r)
+        assert _circumcenter(p, q, r) == (c.center.x, c.center.y, c.radius)
+        checked += 1
+    assert checked > 500
+    assert circumcircle(*triples[-1]).radius == math.hypot(8192.0, 1.0)
 
 
 def test_circle_angle_square_configuration():

@@ -376,6 +376,28 @@ def test_far_exterior_lune_query_says_why_it_fails():
         lune_angles(SampleSet([(1, 0), (0, 1), (-1, 0)], [0.0] * 3), (0, -1))
 
 
+def test_lune_angles_that_collapse_to_zero_raise():
+    # Images spread over hundreds of orders of magnitude turn by a float
+    # angle of 0 at site 0, outside the (0, pi] that LuneAngleSet promises;
+    # the other two angles of pi would read as a query on a segment.
+    sites = [
+        (4.263379776465315e-265, -6.839745504705037e-57),
+        (-9.662386915840475e-151, 7.146847649630497e75),
+        (-5.205696356724228e45, -6.734043794580802e62),
+        (-4.388366283137255e-32, -3.11320122650121e-90),
+        (7.490652107472413e19, -5.532175853008259e222),
+    ]
+    q = (-8.293864431881807e44, -2.8235043238202905e222)
+    ring = SampleSet(sites, [1.0, 2.0, 3.0, 4.0, 5.0])
+    meshed = SampleSet(sites, [1.0, 2.0, 3.0, 4.0, 5.0])
+    meshed._mesh = build_delaunay(meshed)
+    for samples in (ring, meshed):
+        for call in (lune_angles, interpolate):
+            with pytest.raises(DegenerateInputError, match="lune angles left the float range"):
+                call(samples, q)
+    assert ring._mesh is None
+
+
 def _sweep_sites(kind, rng):
     if kind == "random":
         return [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.choice((12, 40)))]
