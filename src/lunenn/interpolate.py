@@ -12,7 +12,9 @@ A site at distance d has its image at radius 1/d, so the code inverts
 only the sites within reach, ring by ring over a bucket grid that the
 first lune query builds in O(n), and gets the full construction's corners
 and angles bit for bit.  A query on or near the site hull reaches about
-every site that way.  The second query that three rings leave open builds
+every site that way.  interpolate hulls the sites to classify a query
+only where its rings do not close, since closing proves it interior.
+The second query that three rings leave open builds
 a Delaunay triangulation of the sites.  From then on one virtual insertion
 places each query, and the exact mesh decides its neighbours: an interior
 query inverts only its cavity cycle, other queries the hull corners too.
@@ -27,12 +29,7 @@ from functools import cached_property
 from enum import Enum
 from typing import Optional
 
-from .errors import (
-    CoincidentQueryError,
-    DegenerateBoundaryError,
-    DegenerateInputError,
-    OutsideDomainError,
-)
+from .errors import CoincidentQueryError, DegenerateBoundaryError, DegenerateInputError, OutsideDomainError
 from .geometry import Point
 from .hull import convex_hull, turning_angles
 from .predicates import incircle_sign_unchecked, orientation_sign
@@ -73,15 +70,17 @@ class SampleSet:
     collinear, with one real or complex elevation per site."""
 
     def __init__(self, sites, elevations):
-        pts = [_finite_point(site, "site coordinates must be finite") for site in sites]
+        message = "site coordinates must be finite"
+        # Point's arguments run left to right: x is checked before y converts.
+        pts = [Point(_finite(p[0], message), _finite(p[1], message)) for p in sites]
         if len(pts) != len(elevations):
             raise DegenerateInputError(
                 "%d sites but %d elevations" % (len(pts), len(elevations))
             )
         if len(pts) < 3:
             raise DegenerateInputError("need at least three sites")
-        x0, y0 = min(p.x for p in pts), min(p.y for p in pts)
-        x1, y1 = max(p.x for p in pts), max(p.y for p in pts)
+        xs, ys = [p.x for p in pts], [p.y for p in pts]
+        x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
         self._diagonal = math.hypot(x1 - x0, y1 - y0)
         # Every geometric step runs on the sites times 2**-e, e the least shift
         # that brings their largest magnitude within [2**-256, 2**256].
@@ -299,14 +298,42 @@ def _place(samples: SampleSet, p: Point, snap: bool = True):
 def classify_query(samples: SampleSet, s) -> QueryClass:
     """Snap s to a site as _snap does over the 3x3 block of grid cells
     around s, which holds every site within the snap radius, otherwise
-    place s exactly relative to the site hull."""
+    place s exactly relative to the site hull, built on first use.
+    interpolate hulls the sites only where its rings leave s unproven."""
     p = samples._frame(s)
     best = _snap(samples, p.x, p.y, next(_rings(samples, p))[0])
-    if best is not None:
-        return QueryClass(QueryKind.COINCIDENT, best)
+    return QueryClass(QueryKind.COINCIDENT, best) if best is not None else QueryClass(_side(samples, p))
+
+
+def _side(samples: SampleSet, p: Point) -> QueryKind:
+    """Where the framed point p lies relative to the site hull, exactly."""
     hull = [samples._unit[i] for i in samples.hull]
     side = min(orientation_sign(hull[k - 1], hull[k], p) for k in range(len(hull)))
-    return QueryClass((QueryKind.EXTERIOR, QueryKind.ON_BOUNDARY, QueryKind.INTERIOR)[side + 1])
+    return (QueryKind.EXTERIOR, QueryKind.ON_BOUNDARY, QueryKind.INTERIOR)[side + 1]
+
+
+def _refuse(kind: QueryKind, allow_exterior: bool) -> None:
+    """Raise as interpolate does for a query of this kind."""
+    if kind is QueryKind.ON_BOUNDARY:
+        raise DegenerateBoundaryError("query lies on the sample hull boundary")
+    if kind is QueryKind.EXTERIOR and not allow_exterior:
+        raise OutsideDomainError("query lies outside the sample hull")
+
+
+def _refusing(samples: SampleSet, p: Point, batches, allow_exterior: bool):
+    """Yield the ring batches of the framed point p, but _refuse p by its
+    _side before yielding one with reach None among the first three and
+    before pulling a fourth, which would count a miss.  _lune_angles pulls
+    no more once every corner edge of the images' hull is _clear_of the
+    1/reach disk (NaN never is): the origin is then strictly inside that
+    hull.  Inversion about p keeps each ray from p, so every open
+    half-plane bounded by a line through p holds a site: p is interior."""
+    for new, reach in itertools.islice(batches, 3):
+        if reach is None:
+            _refuse(_side(samples, p), allow_exterior)
+        yield new, reach
+    _refuse(_side(samples, p), allow_exterior)
+    yield from batches
 
 
 def _inverted_images(samples: SampleSet, p: Point, indices) -> dict:
@@ -379,41 +406,34 @@ def weights_from_angles(angles: LuneAngleSet, weight_fn: WeightFunction = Weight
     near_pi = [i for i, (_, theta) in enumerate(angles.entries) if abs(theta - math.pi) <= _PI_WINDOW]
     if len(near_pi) >= 2:
         raise DegenerateBoundaryError("query lies on the segment between two sites")
+    # tuple() of a list: tuple() of a generator resizes, which grew the heap query by query.
     if near_pi and weight_fn.diverges_near_pi:
-        entries = [
-            (idx, 1.0 if k == near_pi[0] else 0.0)
-            for k, (idx, _) in enumerate(angles.entries)
-        ]
-        return WeightVector(tuple(entries))
+        return WeightVector(tuple([(idx, 1.0 if k == near_pi[0] else 0.0) for k, (idx, _) in enumerate(angles.entries)]))
     raw = [weight_fn.evaluate(theta) for _, theta in angles.entries]
     total = math.fsum(raw)
-    entries = [(idx, w / total) for (idx, _), w in zip(angles.entries, raw)]
-    return WeightVector(tuple(entries))
+    return WeightVector(tuple([(idx, w / total) for (idx, _), w in zip(angles.entries, raw)]))
 
 
-def interpolate(
-    samples: SampleSet,
-    s,
-    weight_fn: WeightFunction = WeightFunction.TAN_HALF,
-    allow_exterior: bool = False,
-):
+def interpolate(samples: SampleSet, s, weight_fn: WeightFunction = WeightFunction.TAN_HALF, allow_exterior: bool = False):
     """Blend the neighbor elevations of s with normalized lune-angle
     weights.  Coincident queries return the site elevation exactly;
     boundary queries fail; exterior queries fail unless allow_exterior
-    is set, in which case the same construction is evaluated.  Once the
-    set holds its mesh, _place classifies s and names its candidates."""
+    is set, in which case the same construction is evaluated.  Without a
+    mesh, s snaps over its first ring block and is placed on the site
+    hull only where its rings cannot prove it interior (_refusing); with
+    one, _place classifies s and names its candidates."""
     p = samples._frame(s)
     if samples._mesh is None:
-        cls, batches = classify_query(samples, s), _candidates(samples, p)
+        batches = _candidates(samples, p)
+        first = next(batches)
+        i = _snap(samples, p.x, p.y, first[0])
+        batches = _refusing(samples, p, itertools.chain([first], batches), allow_exterior)
     else:
         cls, candidates = _place(samples, p)
-        batches = [(candidates, None)]
-    if cls.kind is QueryKind.COINCIDENT:
-        return samples.elevations[cls.site_index]
-    if cls.kind is QueryKind.ON_BOUNDARY:
-        raise DegenerateBoundaryError("query lies on the sample hull boundary")
-    if cls.kind is QueryKind.EXTERIOR and not allow_exterior:
-        raise OutsideDomainError("query lies outside the sample hull")
+        i, batches = cls.site_index, [(candidates, None)]
+        _refuse(cls.kind, allow_exterior)
+    if i is not None:
+        return samples.elevations[i]
     return _blend(weights_from_angles(_lune_angles(samples, p, batches), weight_fn), samples.elevations)
 
 

@@ -6,8 +6,9 @@ sets, queried inside, near a site, on an edge, past the hull and far
 away, through interpolate(allow_exterior=True), lune_angles,
 sibson_interpolate, lune_angles_oracle and voronoi_cell_polygon.  The
 lune calls run on each set twice: ring by ring, and with the mesh that
-names their candidates.  With the mesh, interpolate must also classify
-each query as classify_query does.
+names their candidates.  With the mesh, and ring by ring on a fresh
+set, interpolate must also classify each query as classify_query does,
+and a fresh set must count no ring miss for a query it refuses.
 """
 
 import math
@@ -130,17 +131,23 @@ def test_every_public_call_returns_a_finite_value_or_a_library_error(kind, seed)
         for q in queries:
             assert _holds(lambda: interpolate(samples, q, allow_exterior=True)), (mesh, q)
             assert _holds(lambda: lune_angles(samples, q)), (mesh, q)
-    # The mesh classifies as classify_query does.  Which site a coincident
-    # query snaps to is left open: on huge-range sets two sites can have
-    # bit-equal squared distances within the snap radius.
+    # The mesh, and the rings of a fresh set without one, classify as
+    # classify_query does.  Which site a coincident query snaps to is left
+    # open: on huge-range sets two sites can have bit-equal squared
+    # distances within the snap radius.  The rings refuse a query before
+    # they count a miss; an error after them (a query on the segment
+    # between two sites) may count one.
     for q in queries:
         kind = classify_query(samples, q).kind
-        try:
-            value, error = interpolate(samples, q), None
-        except LIBRARY_ERRORS as exc:
-            error = exc
-        assert (kind is QueryKind.EXTERIOR) == isinstance(error, errors.OutsideDomainError), (kind, q, error)
-        on_boundary = isinstance(error, errors.DegenerateBoundaryError) and str(error).endswith("hull boundary")
-        assert (kind is QueryKind.ON_BOUNDARY) == on_boundary, (kind, q, error)
-        if kind is QueryKind.COINCIDENT:
-            assert error is None and value in samples.elevations, (q, error)
+        for subject in (samples, SampleSet(sites, z)):
+            try:
+                value, error = interpolate(subject, q), None
+            except LIBRARY_ERRORS as exc:
+                error = exc
+            assert (kind is QueryKind.EXTERIOR) == isinstance(error, errors.OutsideDomainError), (kind, q, error)
+            on_boundary = isinstance(error, errors.DegenerateBoundaryError) and str(error).endswith("hull boundary")
+            assert (kind is QueryKind.ON_BOUNDARY) == on_boundary, (kind, q, error)
+            if kind is QueryKind.COINCIDENT:
+                assert error is None and value in samples.elevations, (q, error)
+            if subject is not samples and (on_boundary or isinstance(error, errors.OutsideDomainError)):
+                assert subject._misses == 0 and subject._mesh is None, (q, error)

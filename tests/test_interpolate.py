@@ -953,6 +953,43 @@ def test_only_the_second_query_the_rings_leave_open_builds_the_mesh(monkeypatch)
     assert built == [] and samples._mesh is None
 
 
+# ------------------------------------------- classification from the rings
+
+
+def _interpolated_literal(samples, s):
+    weights = weights_from_angles(_lune_angles_literal(samples, s))
+    return math.fsum(w * samples.elevations[i] for i, w in weights.entries)
+
+
+def test_interior_interpolate_queries_on_a_fresh_set_never_hull_the_sites(monkeypatch):
+    # The rings that close around an interior query prove it interior, so
+    # interpolate hulls only images and never builds samples.hull.
+    rng, samples = _square_with_uniform_sites(479)
+    module = sys.modules["lunenn.interpolate"]
+    hulled = []
+    monkeypatch.setattr(module, "convex_hull", lambda points: hulled.append(len(points)) or convex_hull(points))
+    for _ in range(20):
+        s = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        hulled.clear()
+        assert interpolate(samples, s) == _interpolated_literal(samples, s)
+        assert 0 < sum(hulled) < 0.1 * samples.size
+    assert "hull" not in samples.__dict__ and samples._mesh is None and samples._misses == 0
+
+
+def test_a_refused_query_on_a_fresh_set_counts_no_miss():
+    # The rings leave a query past or on the hull open after three blocks;
+    # interpolate must refuse it before pulling a fourth, which would count
+    # a miss, so that two refusals do not build the mesh.
+    _, samples = _square_with_uniform_sites(487)
+    with pytest.raises(OutsideDomainError, match="outside the sample hull"):
+        interpolate(samples, (5.0, 0.5))
+    with pytest.raises(DegenerateBoundaryError, match="on the sample hull boundary"):
+        interpolate(samples, (0.3, 1.0))
+    assert samples._misses == 0 and samples._mesh is None
+    assert interpolate(samples, (5.0, 0.5), allow_exterior=True) == _interpolated_literal(samples, (5.0, 0.5))
+    assert samples._misses == 1 and samples._mesh is None
+
+
 # ------------------------------------------------- one placement on the mesh
 
 # A quadrilateral hull, two sites 2e-13 apart (within twice the snap radius,
