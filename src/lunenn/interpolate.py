@@ -88,14 +88,14 @@ class SampleSet:
         e = self._e = max(m - 256, 0) + min(m + 256, 0)
         self._sites = tuple(pts)
         self._unit = self._sites if e == 0 else tuple(Point(math.ldexp(p.x, -e), math.ldexp(p.y, -e)) for p in pts)
-        index = {}
-        for i, p in enumerate(self._unit):
-            j = index.setdefault(p, i)
+        # Each framed Point's first index (an (x, y) tuple finds it too); fewer keys than sites: scan for the repeat.
+        index = dict(zip(reversed(self._unit), range(len(pts) - 1, -1, -1)))
+        for i, p in enumerate(self._unit if len(index) < len(pts) else ()):
+            j = index[p]
             if j != i:
                 at = "(%g, %g)" % pts[i] if pts[i] == pts[j] else "the float range's precision"
                 raise DegenerateInputError("sites %d and %d coincide at %s" % (j, i, at))
         self._elevations = tuple(_elevation(z) for z in elevations)
-        # Keyed by the framed Points; an (x, y) tuple finds the same entry.
         self._index = index
         # The sites are distinct, so the first two span a line.
         if all(orientation_sign(self._unit[0], self._unit[1], p) == 0 for p in self._unit[2:]):
