@@ -40,7 +40,7 @@ from typing import Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, _circumcenter
-from .interpolate import LuneAngleSet, SampleSet, WeightVector, _blend, _elevation, _finite_point, _snap
+from .interpolate import LuneAngleSet, QueryKind, SampleSet, WeightVector, _blend, _elevation, _finite_point, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -342,22 +342,37 @@ class Triangulation:
         j = min(bisect.bisect_left(self._keys, key), len(self._keys) - 1)
         return self._cavity(self._locate(p, self._incident[self._key_sites[j]]), p, len(self._pts))
 
+    def _place(self, p, snap: bool):
+        """(kind, site, cavity, cycle) of the framed point p: COINCIDENT and
+        the site p is, or if snap the one _snap finds over the cycle, else
+        None and the kind the cavity gives.  A ghost in it puts p on the hull
+        if its edge passes through p, else outside it: classify_query's
+        outcome unless rounding ties or reorders the squared distances of
+        sites almost equally far from p.  A site p is has no cavity (None)."""
+        i = self._samples._index.get(p)
+        if i is not None:
+            return QueryKind.COINCIDENT, i, None, None
+        cavity, cycle = self._walk_cavity(p)
+        # Every site nearest to p borders the cavity: the circle on
+        # diameter p-q holds no other site.
+        i = _snap(self._samples, p.x, p.y, (u for u, _, _, _ in cycle if u != GHOST)) if snap else None
+        if i is not None:
+            return QueryKind.COINCIDENT, i, cavity, cycle
+        ghosts = [self._verts[t] for t in cavity if self._verts[t][2] == GHOST]
+        if not ghosts:
+            return QueryKind.INTERIOR, None, cavity, cycle
+        on = any(orientation_sign(self._pts[v], self._pts[u], p) == 0 for u, v, _ in ghosts)
+        return QueryKind.ON_BOUNDARY if on else QueryKind.EXTERIOR, None, cavity, cycle
+
     def _virtual_cavity(self, s):
         """(point, cavity, cycle) of the virtual insertion of s.  A query
-        that snaps to a site raises CoincidentQueryError, one on or outside
-        the site hull OutsideDomainError: classify_query's outcome unless
-        rounding ties or reorders the squared distances of sites almost
-        equally far from s."""
+        that _place snaps to a site raises CoincidentQueryError, one on or
+        outside the site hull OutsideDomainError."""
         p = self._samples._frame(s)
-        i = self._samples._index.get(p)
-        if i is None:
-            cavity, cycle = self._walk_cavity(p)
-            # Every site nearest to p borders the cavity: the circle on
-            # diameter p-q holds no other site.
-            i = _snap(self._samples, p.x, p.y, (u for u, _, _, _ in cycle if u != GHOST))
+        kind, i, cavity, cycle = self._place(p, True)
         if i is not None:
             raise CoincidentQueryError("query coincides with site %d" % i, i)
-        if any(self._verts[c][2] == GHOST for c in cavity):
+        if kind is not QueryKind.INTERIOR:
             raise OutsideDomainError("query lies on or outside the site hull")
         return p, cavity, cycle
 

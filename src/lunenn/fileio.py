@@ -13,8 +13,10 @@ _REAL_HEADER = ("x", "y", "z")
 _COMPLEX_HEADER = ("x", "y", "z_re", "z_im")
 
 #: Errors that make a grid cell None: a node outside or on the site hull,
-#: or on the segment between two sites.
-_CELL_ERRORS = (OutsideDomainError, DegenerateBoundaryError)
+#: on the segment between two sites, or whose value leaves the float range.
+#: The sites, the grid and a Sibson mesh are checked before the node loop,
+#: so a DegenerateInputError inside it concerns one node.
+_CELL_ERRORS = (OutsideDomainError, DegenerateBoundaryError, DegenerateInputError)
 
 
 def load_samples_csv(path) -> SampleSet:
@@ -115,8 +117,10 @@ def evaluate_grid(
     y_min (raster order).  A cell holds interpolate(samples, q, weight_fn)
     for "moebius", or sibson_interpolate for "sibson" (weight_fn has no
     effect there), so a node that snaps to a site takes its elevation; it
-    holds None where that call raises OutsideDomainError or
-    DegenerateBoundaryError."""
+    holds None where that call raises OutsideDomainError,
+    DegenerateBoundaryError or DegenerateInputError.  SampleSet, GridSpec
+    and the Sibson mesh are checked before the node loop, so there the
+    last concerns one node, such as one whose value leaves the float range."""
     if method not in ("moebius", "sibson"):
         raise DegenerateInputError("method must be 'moebius' or 'sibson'")
     tri = build_delaunay(samples) if method == "sibson" else None

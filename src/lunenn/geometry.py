@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .errors import DegenerateInputError, PreconditionError
+from .errors import DegenerateInputError
 from .predicates import orientation_sign
 
 
@@ -82,21 +82,3 @@ def _circumcenter(p, q, r):
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise DegenerateInputError("circle center must be finite")
     return cx, cy, radius
-
-
-def circle_angle_at_common_point(first: Circle, second: Circle, p) -> float:
-    """Angle in [0, pi] between the two radius vectors drawn to p, a point
-    lying on both circles (within 1e-9 relative residual)."""
-    for circle in (first, second):
-        residual = abs(math.hypot(p[0] - circle.center.x, p[1] - circle.center.y) - circle.radius)
-        if residual > 1e-9 * circle.radius:
-            raise PreconditionError(
-                "point is not on the circle: residual %g exceeds 1e-9 * radius" % residual
-            )
-    ux = p[0] - first.center.x
-    uy = p[1] - first.center.y
-    vx = p[0] - second.center.x
-    vy = p[1] - second.center.y
-    cross = ux * vy - uy * vx
-    dot = ux * vx + uy * vy
-    return math.atan2(abs(cross), dot)

@@ -254,45 +254,48 @@ def _rings(samples: SampleSet, p: Point):
         done, k = k, 2 * k
 
 
-def _candidates(samples: SampleSet, p: Point):
-    """Yield _rings(samples, p) up to its third block.  The set's first
-    query that needs more goes on ring by ring; the second builds
-    samples._mesh.  From then on a query's one batch, with reach None, is
-    its candidates from _place."""
+def _candidates(samples: SampleSet, p: Point, allow_exterior: Optional[bool] = None):
+    """Yield batches of (site indices, reach) of the framed point p:
+    _rings up to its third block.  The set's first query that needs more
+    goes on ring by ring; the second builds samples._mesh.  From then on
+    a query's one batch, with reach None, is the cycle sites of its one
+    virtual insertion, and the hull corners if p is not interior.  Unless
+    allow_exterior is None, p snaps over its first ring block or its
+    cycle, and is _refused by the mesh's kind, or by its _side before a
+    ring batch with reach None and before a fourth, which would count a
+    miss.  _lune_angles pulls no more once every corner edge of the
+    images' hull is _clear_of the 1/reach disk (NaN never is): the origin
+    is then strictly inside that hull.  Inversion about p keeps each ray
+    from p, so every open half-plane bounded by a line through p holds a
+    site: p is interior."""
+    refusing = snap = allow_exterior is not None
     if samples._mesh is None:
         rings = _rings(samples, p)
-        yield from itertools.islice(rings, 3)
+        for new, reach in itertools.islice(rings, 3):
+            i = _snap(samples, p.x, p.y, new) if snap else None
+            if i is not None:
+                raise CoincidentQueryError("query coincides with site %d" % i, i)
+            if refusing and reach is None:
+                _refuse(_side(samples, p), allow_exterior)
+            snap = False
+            yield new, reach
+        if refusing:
+            _refuse(_side(samples, p), allow_exterior)
         samples._misses += 1
         if samples._misses == 1:
             yield from rings
         from .delaunay import build_delaunay
         samples._mesh = build_delaunay(samples)
-    cls, candidates = _place(samples, p, snap=False)
-    if cls.site_index is not None:
-        raise CoincidentQueryError("query coincides with site %d" % cls.site_index, cls.site_index)
-    yield candidates, None
-
-
-def _place(samples: SampleSet, p: Point, snap: bool = True):
-    """(QueryClass, candidates) of the framed point p from one virtual
-    insertion into samples._mesh, snapping (if snap) over the cycle sites
-    as _virtual_cavity does.  A ghost in the cavity puts p on the hull if
-    its edge passes through p, else outside it, and adds the hull corners
-    to the cycle sites.  A lune neighbour q has a circle through p and q
-    with every other site outside, and q neighbours p in the mesh, or
-    inside, and p lies on or outside the hull."""
-    mesh, i = samples._mesh, samples._index.get(p)
-    if i is None:
-        cavity, cycle = mesh._walk_cavity(p)
-        sites = {u for u, _, _, _ in cycle if u >= 0}
-        i = _snap(samples, p.x, p.y, sites) if snap else None
+    kind, i, _, cycle = samples._mesh._place(p, snap)
     if i is not None:
-        return QueryClass(QueryKind.COINCIDENT, i), None
-    ghosts = [mesh._verts[t] for t in cavity if mesh._verts[t][2] < 0]
-    if not ghosts:
-        return QueryClass(QueryKind.INTERIOR), sites
-    on = any(orientation_sign(mesh._pts[v], mesh._pts[u], p) == 0 for u, v, _ in ghosts)
-    return QueryClass(QueryKind.ON_BOUNDARY if on else QueryKind.EXTERIOR), sites.union(samples.hull)
+        raise CoincidentQueryError("query coincides with site %d" % i, i)
+    if refusing:
+        _refuse(kind, allow_exterior)
+    # A lune neighbour q has a circle through p and q with every other site
+    # outside, and q neighbours p in the mesh, or inside, and p lies on or
+    # outside the hull.
+    sites = {u for u, _, _, _ in cycle if u >= 0}
+    yield sites if kind is QueryKind.INTERIOR else sites.union(samples.hull), None
 
 
 def classify_query(samples: SampleSet, s) -> QueryClass:
@@ -318,22 +321,6 @@ def _refuse(kind: QueryKind, allow_exterior: bool) -> None:
         raise DegenerateBoundaryError("query lies on the sample hull boundary")
     if kind is QueryKind.EXTERIOR and not allow_exterior:
         raise OutsideDomainError("query lies outside the sample hull")
-
-
-def _refusing(samples: SampleSet, p: Point, batches, allow_exterior: bool):
-    """Yield the ring batches of the framed point p, but _refuse p by its
-    _side before yielding one with reach None among the first three and
-    before pulling a fourth, which would count a miss.  _lune_angles pulls
-    no more once every corner edge of the images' hull is _clear_of the
-    1/reach disk (NaN never is): the origin is then strictly inside that
-    hull.  Inversion about p keeps each ray from p, so every open
-    half-plane bounded by a line through p holds a site: p is interior."""
-    for new, reach in itertools.islice(batches, 3):
-        if reach is None:
-            _refuse(_side(samples, p), allow_exterior)
-        yield new, reach
-    _refuse(_side(samples, p), allow_exterior)
-    yield from batches
 
 
 def _inverted_images(samples: SampleSet, p: Point, indices) -> dict:
@@ -418,23 +405,14 @@ def interpolate(samples: SampleSet, s, weight_fn: WeightFunction = WeightFunctio
     """Blend the neighbor elevations of s with normalized lune-angle
     weights.  Coincident queries return the site elevation exactly;
     boundary queries fail; exterior queries fail unless allow_exterior
-    is set, in which case the same construction is evaluated.  Without a
-    mesh, s snaps over its first ring block and is placed on the site
-    hull only where its rings cannot prove it interior (_refusing); with
-    one, _place classifies s and names its candidates."""
+    is set, in which case the same construction is evaluated.
+    _candidates snaps and classifies s as it names its candidates."""
     p = samples._frame(s)
-    if samples._mesh is None:
-        batches = _candidates(samples, p)
-        first = next(batches)
-        i = _snap(samples, p.x, p.y, first[0])
-        batches = _refusing(samples, p, itertools.chain([first], batches), allow_exterior)
-    else:
-        cls, candidates = _place(samples, p)
-        i, batches = cls.site_index, [(candidates, None)]
-        _refuse(cls.kind, allow_exterior)
-    if i is not None:
-        return samples.elevations[i]
-    return _blend(weights_from_angles(_lune_angles(samples, p, batches), weight_fn), samples.elevations)
+    try:
+        angles = _lune_angles(samples, p, _candidates(samples, p, bool(allow_exterior)))
+    except CoincidentQueryError as exc:
+        return samples.elevations[exc.site_index]
+    return _blend(weights_from_angles(angles, weight_fn), samples.elevations)
 
 
 def _blend(weights: WeightVector, elevations):

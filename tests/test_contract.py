@@ -8,11 +8,14 @@ sibson_interpolate, lune_angles_oracle and voronoi_cell_polygon.  The
 lune calls run on each set twice: ring by ring, and with the mesh that
 names their candidates.  With the mesh, and ring by ring on a fresh
 set, interpolate must also classify each query as classify_query does,
-and a fresh set must count no ring miss for a query it refuses.
+and a fresh set must count no ring miss for a query it refuses.  Every
+answer of lune_angles, and every one that interpolate weighs, must keep
+the promises of LuneAngleSet and WeightVector.
 """
 
 import math
 import random
+import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,10 +29,13 @@ from lunenn import (
     lune_angles_oracle,
     sibson_interpolate,
     voronoi_cell_polygon,
+    weights_from_angles,
 )
 from lunenn.interpolate import QueryKind, classify_query
 
 LIBRARY_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception))
+# lunenn.interpolate names the function; interpolate reads weights_from_angles from the module.
+INTERPOLATE = sys.modules["lunenn.interpolate"]
 
 
 def _sites(kind, rng):
@@ -101,6 +107,33 @@ def _holds(call):
     return _finite(result)
 
 
+def _answer(call):
+    """call()'s result, or None where it raises a library error."""
+    try:
+        return call()
+    except LIBRARY_ERRORS:
+        return None
+
+
+def _broken_promises(angles, weights):
+    """What angles, a LuneAngleSet, and weights, the WeightVector made of
+    it (None where two angles near pi leave none), break of their
+    promises: angles in (0, pi] whose fsum lies within one ulp of 2*pi
+    per angle, weights >= 0 whose fsum lies within one ulp of 1 per weight."""
+    broken = []
+    thetas = angles.angles
+    if not all(0.0 < theta <= math.pi for theta in thetas):
+        broken.append("angle outside (0, pi]")
+    if abs(math.fsum(thetas) - 2 * math.pi) > len(thetas) * math.ulp(2 * math.pi):
+        broken.append("angles do not sum to 2*pi")
+    ws = () if weights is None else weights.weights
+    if not all(w >= 0.0 for w in ws):
+        broken.append("negative weight")
+    if weights is not None and abs(math.fsum(ws) - 1.0) > len(ws) * math.ulp(1.0):
+        broken.append("weights do not sum to 1")
+    return broken
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @example(kind="cocircular", seed=0)
 @example(kind="huge-range", seed=1)
@@ -125,29 +158,46 @@ def test_every_public_call_returns_a_finite_value_or_a_library_error(kind, seed)
         assert _holds(lambda: lune_angles_oracle(tri, q)), q
     for i in range(samples.size):
         assert _holds(lambda: voronoi_cell_polygon(tri, i)), i
-    # Ring by ring first, then from the mesh.
-    for mesh in (None, tri):
-        samples._mesh = mesh
+    # Every LuneAngleSet that lune_angles returns, and every one that
+    # interpolate weighs, with the WeightVector made of it.
+    answers = []
+
+    def weigh(angles, weight_fn):
+        answers.append((angles, weights_from_angles(angles, weight_fn)))
+        return answers[-1][1]
+
+    INTERPOLATE.weights_from_angles = weigh
+    try:
+        # Ring by ring first, then from the mesh.
+        for mesh in (None, tri):
+            samples._mesh = mesh
+            for q in queries:
+                assert _holds(lambda: interpolate(samples, q, allow_exterior=True)), (mesh, q)
+                angles = _answer(lambda: lune_angles(samples, q))
+                assert angles is None or _holds(lambda: angles), (mesh, q)
+                if angles is not None:
+                    answers.append((angles, _answer(lambda: weights_from_angles(angles))))
+        # The mesh, and the rings of a fresh set without one, classify as
+        # classify_query does.  Which site a coincident query snaps to is left
+        # open: on huge-range sets two sites can have bit-equal squared
+        # distances within the snap radius.  The rings refuse a query before
+        # they count a miss; an error after them (a query on the segment
+        # between two sites) may count one.
         for q in queries:
-            assert _holds(lambda: interpolate(samples, q, allow_exterior=True)), (mesh, q)
-            assert _holds(lambda: lune_angles(samples, q)), (mesh, q)
-    # The mesh, and the rings of a fresh set without one, classify as
-    # classify_query does.  Which site a coincident query snaps to is left
-    # open: on huge-range sets two sites can have bit-equal squared
-    # distances within the snap radius.  The rings refuse a query before
-    # they count a miss; an error after them (a query on the segment
-    # between two sites) may count one.
-    for q in queries:
-        kind = classify_query(samples, q).kind
-        for subject in (samples, SampleSet(sites, z)):
-            try:
-                value, error = interpolate(subject, q), None
-            except LIBRARY_ERRORS as exc:
-                error = exc
-            assert (kind is QueryKind.EXTERIOR) == isinstance(error, errors.OutsideDomainError), (kind, q, error)
-            on_boundary = isinstance(error, errors.DegenerateBoundaryError) and str(error).endswith("hull boundary")
-            assert (kind is QueryKind.ON_BOUNDARY) == on_boundary, (kind, q, error)
-            if kind is QueryKind.COINCIDENT:
-                assert error is None and value in samples.elevations, (q, error)
-            if subject is not samples and (on_boundary or isinstance(error, errors.OutsideDomainError)):
-                assert subject._misses == 0 and subject._mesh is None, (q, error)
+            kind = classify_query(samples, q).kind
+            for subject in (samples, SampleSet(sites, z)):
+                try:
+                    value, error = interpolate(subject, q), None
+                except LIBRARY_ERRORS as exc:
+                    error = exc
+                assert (kind is QueryKind.EXTERIOR) == isinstance(error, errors.OutsideDomainError), (kind, q, error)
+                on_boundary = isinstance(error, errors.DegenerateBoundaryError) and str(error).endswith("hull boundary")
+                assert (kind is QueryKind.ON_BOUNDARY) == on_boundary, (kind, q, error)
+                if kind is QueryKind.COINCIDENT:
+                    assert error is None and value in samples.elevations, (q, error)
+                if subject is not samples and (on_boundary or isinstance(error, errors.OutsideDomainError)):
+                    assert subject._misses == 0 and subject._mesh is None, (q, error)
+    finally:
+        INTERPOLATE.weights_from_angles = weights_from_angles
+    for angles, weights in answers:
+        assert not _broken_promises(angles, weights), (angles, weights, _broken_promises(angles, weights))

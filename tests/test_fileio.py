@@ -211,6 +211,25 @@ def test_evaluate_grid_sibson_places_each_cell_once(monkeypatch):
     assert len(calls) == spec.nx * spec.ny
 
 
+@pytest.mark.parametrize("method", ["moebius", "sibson"])
+def test_a_node_whose_value_leaves_the_float_range_is_a_blank_cell(method):
+    # The sites and query of test_lune_angles_that_collapse_to_zero_raise:
+    # at q the lune angles, and the stolen areas, leave the float range.
+    sites = [
+        (4.263379776465315e-265, -6.839745504705037e-57),
+        (-9.662386915840475e-151, 7.146847649630497e75),
+        (-5.205696356724228e45, -6.734043794580802e62),
+        (-4.388366283137255e-32, -3.11320122650121e-90),
+        (7.490652107472413e19, -5.532175853008259e222),
+    ]
+    qx, qy = -8.293864431881807e44, -2.8235043238202905e222
+    samples = SampleSet(sites, [1.0, 2.0, 3.0, 4.0, 5.0])
+    rows = evaluate_grid(samples, GridSpec(qx, qx / 2, qy, qy / 2, 2, 2), method=method)
+    # Rows run from y_max down, so q = (x_min, y_min) is the last row's first node.
+    assert len(rows) == 2 and all(len(row) == 2 for row in rows)
+    assert rows[1][0] is None
+
+
 def test_evaluate_grid_bad_method():
     with pytest.raises(DegenerateInputError):
         evaluate_grid(_square_samples(), GridSpec(-1, 1, -1, 1, 2, 2), method="bogus")

@@ -1,17 +1,15 @@
-"""Circle inversion, circumcircles, and the angle between circles at a
-shared point."""
+"""Circle inversion and circumcircles."""
 
 import math
 import random
 
 import pytest
 
-from lunenn.errors import DegenerateInputError, PreconditionError
+from lunenn.errors import DegenerateInputError
 from lunenn.geometry import (
     AT_INFINITY,
     Circle,
     Point,
-    circle_angle_at_common_point,
     _circumcenter,
     circumcircle,
     is_infinite,
@@ -160,44 +158,3 @@ def test_circumcenter_is_circumcircle_without_the_orientation_test():
     assert checked > 500
     assert circumcircle(*triples[-1]).radius == math.hypot(8192.0, 1.0)
 
-
-def test_circle_angle_square_configuration():
-    a = Circle(Point(1, 0), 1.0)
-    b = Circle(Point(0, 1), 1.0)
-    theta = circle_angle_at_common_point(a, b, Point(0, 0))
-    assert abs(theta - math.pi / 2) <= 1e-12
-
-
-def test_circle_angle_hexagon_configuration():
-    r = 1 / math.sqrt(3)
-    a = Circle(Point(0.5, 1 / (2 * math.sqrt(3))), r)
-    b = Circle(Point(0.5, -1 / (2 * math.sqrt(3))), r)
-    theta = circle_angle_at_common_point(a, b, Point(0, 0))
-    assert abs(theta - math.pi / 3) <= 1e-12
-
-
-def test_circle_angle_identical_circles():
-    c = Circle(Point(0.3, -0.4), 0.5)
-    p = Point(0.3, 0.1)
-    assert circle_angle_at_common_point(c, c, p) == 0.0
-
-
-def test_circle_angle_requires_point_on_both():
-    a = Circle(Point(1, 0), 1.0)
-    b = Circle(Point(0, 1), 1.0)
-    with pytest.raises(PreconditionError):
-        circle_angle_at_common_point(a, b, Point(0.5, 0.5))
-
-
-def test_circle_angle_range():
-    rng = random.Random(29)
-    for _ in range(200):
-        p = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        circles = []
-        for _ in range(2):
-            t = rng.uniform(0, 2 * math.pi)
-            r = rng.uniform(0.2, 2.0)
-            center = Point(p.x + r * math.cos(t), p.y + r * math.sin(t))
-            circles.append(Circle(center, r))
-        theta = circle_angle_at_common_point(circles[0], circles[1], p)
-        assert 0.0 <= theta <= math.pi

@@ -1026,17 +1026,24 @@ def _interpolated(samples, s, allow_exterior):
 
 @pytest.mark.parametrize("allow_exterior", [False, True])
 def test_a_meshed_set_classifies_and_interpolates_as_a_fresh_one(allow_exterior):
-    place = sys.modules["lunenn.interpolate"]._place
+    # The mesh's one placement serves interpolate and sibson_interpolate alike.
     meshed = SampleSet(PLACEMENT_SITES, PLACEMENT_Z)
-    meshed._mesh = build_delaunay(meshed)
+    tri = meshed._mesh = build_delaunay(meshed)
     kinds = set()
     for s in PLACEMENT_QUERIES:
         fresh = SampleSet(PLACEMENT_SITES, PLACEMENT_Z)
         cls = classify_query(fresh, s)
         kinds.add(cls.kind)
-        assert place(meshed, meshed._frame(s))[0] == cls, s
+        assert tri._place(meshed._frame(s), True)[:2] == (cls.kind, cls.site_index), s
         assert _interpolated(meshed, s, allow_exterior) == _interpolated(fresh, s, allow_exterior), s
         assert fresh._mesh is None
+        if cls.kind is QueryKind.COINCIDENT:
+            assert sibson_interpolate(tri, PLACEMENT_Z, s) == PLACEMENT_Z[cls.site_index], s
+        elif cls.kind is QueryKind.INTERIOR:
+            assert math.isfinite(sibson_interpolate(tri, PLACEMENT_Z, s)), s
+        else:
+            with pytest.raises(OutsideDomainError):
+                sibson_interpolate(tri, PLACEMENT_Z, s)
     assert kinds == set(QueryKind)
 
 

@@ -11,7 +11,6 @@ from lunenn.geometry import (
     AT_INFINITY,
     Circle,
     Point,
-    circle_angle_at_common_point,
     circumcircle,
     is_infinite,
 )
@@ -177,6 +176,16 @@ def _map_circle(m, circle):
     return circumcircle(*pts)
 
 
+def _angle_at(first, second, p):
+    """Angle in [0, pi] at p between the radius vectors of two circles
+    through p, as lune_angles_oracle measures it; p must lie on both."""
+    for circle in (first, second):
+        assert abs(math.hypot(p.x - circle.center.x, p.y - circle.center.y) - circle.radius) <= 1e-9 * circle.radius
+    ux, uy = p.x - first.center.x, p.y - first.center.y
+    vx, vy = p.x - second.center.x, p.y - second.center.y
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+
+
 def test_angles_between_circles_preserved():
     rng = random.Random(43)
     checked = 0
@@ -202,9 +211,9 @@ def test_angles_between_circles_preserved():
         q = moebius_apply(m, p)
         if is_infinite(q):
             continue
-        before = circle_angle_at_common_point(circles[0], circles[1], p)
+        before = _angle_at(circles[0], circles[1], p)
         images = [_map_circle(m, c) for c in circles]
-        after = circle_angle_at_common_point(images[0], images[1], q)
+        after = _angle_at(images[0], images[1], q)
         # The angle is measured between outward normals.  A pole inside
         # exactly one circle turns that circle inside out, so the image
         # angle is the supplement; otherwise it is preserved as is.
