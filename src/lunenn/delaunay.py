@@ -6,10 +6,10 @@ that carries one ghost triangle per hull edge, so hull growth needs no
 oversized bounding triangle; the ghosts are the mesh's only record of its
 hull.  Sites are inserted in a biased randomized order (Amenta, Choi &
 Rote 2003): shuffled by a constant seed, cut into rounds of doubling
-size, each round sorted along a Hilbert curve, so that point location
-walks a few triangles per insertion.  The order only steers the walks.
-The sites' Hilbert keys stay, sorted, as a (key, site) table: a query
-jumps to the first site keyed in its cell of a coarser grid and walks
+size, each round sorted along the snake (boustrophedon) order of the
+cells of SampleSet._buckets, so that point location walks a few
+triangles per insertion.  The order only steers the walks.  A query
+jumps to a site in its cell of that grid, clamped onto it, and walks
 from a triangle there (Muecke, Saias & Zhu 1996), a few triangles at any
 n.  Queries write nothing, so after the build the mesh is read-only.
 Cocircular ties are broken by a symbolic perturbation that treats
@@ -32,7 +32,6 @@ cavity is star-shaped from p, so circumcenters run no orientation test.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -47,51 +46,18 @@ GHOST = -1
 
 #: Seed of the insertion-order shuffle: a constant, so builds repeat.
 _BRIO_SEED = 20030101
-#: Bits per axis of the Hilbert-curve key.
-_HILBERT_BITS = 16
 
 
-def _hilbert_key(x: int, y: int, bits: int = _HILBERT_BITS) -> int:
-    """Position of cell (x, y) along a Hilbert curve over the 2**bits square
-    grid; its top 2b bits key cell (x, y) >> (bits - b) on the 2**b grid."""
-    key = 0
-    mask = (1 << bits) - 1
-    s = 1 << (bits - 1)
-    while s:
-        # Bits (x, y) = 00, 01, 11, 10 give quadrant digits 0, 1, 2, 3.  The
-        # curve turns in quadrants 0 and 3: the lower bits swap, and in
-        # quadrant 3 are complemented too.
-        if y & s:
-            key += (2 if x & s else 1) * s * s
-        elif x & s:
-            key += 3 * s * s
-            x, y = y ^ mask, x ^ mask
-        else:
-            x, y = y, x
-        s >>= 1
-    return key
-
-
-def _cell_key(box, p, bits: int = _HILBERT_BITS) -> int:
-    """Hilbert key of the cell that holds p on the 2**bits square grid over
-    box (x0, y0, width, height).  A point off the box takes the nearest
-    cell: its offsets are clamped in float, before int(), so that a
-    coordinate near 2**1000 cannot overflow."""
-    side = 1 << bits
-    x0, y0, w, h = box
-    u = (p[0] - x0) / w
-    v = (p[1] - y0) / h
-    return _hilbert_key(
-        side - 1 if u >= 1.0 else int(u * side) if u > 0.0 else 0,
-        side - 1 if v >= 1.0 else int(v * side) if v > 0.0 else 0,
-        bits,
-    )
-
-
-def _brio_order(keys) -> list:
-    """Biased randomized insertion order of the site indices, given the
-    sites' Hilbert keys: a seeded shuffle cut into rounds of doubling
-    size, the last round the last half, each round sorted by key."""
+def _brio_order(samples: SampleSet) -> list:
+    """Biased randomized insertion order of the site indices: a seeded
+    shuffle cut into rounds of doubling size, the last round the last
+    half, each round sorted by the site's cell of samples._buckets in snake
+    order, row by row, even rows left to right and odd rows right to left."""
+    _, cols, _, cells = samples._buckets
+    keys = [0] * samples.size
+    for (c, r), sites in cells.items():
+        for i in sites:
+            keys[i] = r * cols + (c if r % 2 == 0 else cols - 1 - c)
     order = list(range(len(keys)))
     random.Random(_BRIO_SEED).shuffle(order)
     # Round k from the end is order[n >> (k + 1) : n >> k].
@@ -156,18 +122,13 @@ class Triangulation:
     the hull, kept nowhere else: ghost vs is hull edge vs[1] -> vs[0].  The
     public views are sorted copies, built once: triangles, the finite ones,
     and neighbors[i][e], an index into triangles or None on the hull.
-    The sites' Hilbert keys, sorted, are _keys; _key_sites[j] is the site
-    of _keys[j]."""
+    _incident[i] is a finite triangle at site i, where walks start."""
 
     def __init__(self, samples: SampleSet):
         self._samples = samples
         self._pts = samples._unit
-        keys = [_cell_key(samples._box, p) for p in self._pts]
-        self._build(_brio_order(keys))
+        self._build(_brio_order(samples))
         self._finalize()
-        self._key_sites = sorted(range(len(keys)), key=keys.__getitem__)
-        self._keys = [keys[i] for i in self._key_sites]
-        self._bits = min(((len(keys) - 1).bit_length() + 1) // 2 + 1, _HILBERT_BITS)
 
     # -- public views ------------------------------------------------
 
@@ -334,25 +295,32 @@ class Triangulation:
 
     # -- virtual insertion -------------------------------------------
 
-    def _walk_cavity(self, p):
-        """(cavity, cycle) of the virtual insertion of the framed point p, no
-        site, on or outside the hull too.  The walk starts at the first site
-        keyed in p's cell of the 2**_bits grid, about four cells a site."""
-        key = _cell_key(self._samples._box, p, self._bits) << 2 * (_HILBERT_BITS - self._bits)
-        j = min(bisect.bisect_left(self._keys, key), len(self._keys) - 1)
-        return self._cavity(self._locate(p, self._incident[self._key_sites[j]]), p, len(self._pts))
-
     def _place(self, p, snap: bool):
         """(kind, site, cavity, cycle) of the framed point p: COINCIDENT and
         the site p is, or if snap the one _snap finds over the cycle, else
         None and the kind the cavity gives.  A ghost in it puts p on the hull
         if its edge passes through p, else outside it: classify_query's
         outcome unless rounding ties or reorders the squared distances of
-        sites almost equally far from p.  A site p is has no cavity (None)."""
+        sites almost equally far from p.  A site p is has no cavity (None).
+        The walk starts at a site in p's cell of SampleSet._buckets clamped
+        onto the grid, else in its four edge neighbours, else on the march to
+        the cell of site 0, first in the map: cols + rows reads at most."""
         i = self._samples._index.get(p)
         if i is not None:
             return QueryKind.COINCIDENT, i, None, None
-        cavity, cycle = self._walk_cavity(p)
+        x0, y0, _, _ = self._samples._box
+        size, cols, rows, cells = self._samples._buckets
+        # Clamped in float: floor() of a quotient near 2**1000 overflows.
+        c = math.floor(min(max((p.x - x0) / size, 0.0), cols - 1.0))
+        r = math.floor(min(max((p.y - y0) / size, 0.0), rows - 1.0))
+        near = (cells.get((c, r)) or cells.get((c - 1, r)) or cells.get((c + 1, r))
+                or cells.get((c, r - 1)) or cells.get((c, r + 1)))
+        if not near:
+            tc, tr = next(iter(cells))
+            n = max(abs(tc - c), abs(tr - r))
+            march = ((c + round(k * (tc - c) / n), r + round(k * (tr - r) / n)) for k in range(1, n + 1))
+            near = next(filter(None, map(cells.get, march)))
+        cavity, cycle = self._cavity(self._locate(p, self._incident[near[0]]), p, len(self._pts))
         # Every site nearest to p borders the cavity: the circle on
         # diameter p-q holds no other site.
         i = _snap(self._samples, p.x, p.y, (u for u, _, _, _ in cycle if u != GHOST)) if snap else None

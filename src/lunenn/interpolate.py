@@ -9,15 +9,15 @@ uses circles through s, the weights commute with any Moebius map applied
 to sites and query alike.
 
 A site at distance d has its image at radius 1/d, so the code inverts
-only the sites within reach, ring by ring over a bucket grid that the
-first lune query builds in O(n), and gets the full construction's corners
-and angles bit for bit.  A query on or near the site hull reaches about
-every site that way.  interpolate hulls the sites to classify a query
-only where its rings do not close, since closing proves it interior.
-The second query that three rings leave open builds
-a Delaunay triangulation of the sites.  From then on one virtual insertion
-places each query, and the exact mesh decides its neighbours: an interior
-query inverts only its cavity cycle, other queries the hull corners too.
+only the sites within reach, ring by ring over a bucket grid built in
+O(n) on first use, and gets the full construction's corners and angles
+bit for bit.  A query on or near the site hull reaches about every site
+that way.  interpolate hulls the sites to classify a query only where
+its rings do not close, since closing proves it interior.  The second
+query that three rings leave open builds a Delaunay triangulation of the
+sites.  From then on one virtual insertion places each query, and the
+exact mesh decides its neighbours: an interior query inverts only its
+cavity cycle, other queries the hull corners too.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ def _elevation(z):
 
 
 class SampleSet:
-    """Immutable collection of pairwise-distinct sample sites, not all
-    collinear, with one real or complex elevation per site."""
+    """Pairwise-distinct sample sites, not all collinear, with one real or
+    complex elevation per site, fixed when made; the bucket grid, the hull
+    and the mesh the set grows lazily, each on first use."""
 
     def __init__(self, sites, elevations):
         message = "site coordinates must be finite"
@@ -137,7 +138,9 @@ class SampleSet:
     @cached_property
     def _buckets(self):
         """(cell size, columns, rows, {(column, row): site indices}) of a
-        grid over the framed bounding box with about two sites per cell."""
+        grid over the framed bounding box with about two sites per cell: the
+        set's one spatial index.  The lune rings read it, and so do the
+        mesh's insertion order and walk starts: Sibson-only sets build it too."""
         x0, y0, w, h = self._box
         size = max(math.sqrt(2.0 * w * h / len(self._unit)), max(w, h) / len(self._unit))
         cells = {}

@@ -10,7 +10,9 @@ names their candidates.  With the mesh, and ring by ring on a fresh
 set, interpolate must also classify each query as classify_query does,
 and a fresh set must count no ring miss for a query it refuses.  Every
 answer of lune_angles, and every one that interpolate weighs, must keep
-the promises of LuneAngleSet and WeightVector.
+the promises of LuneAngleSet and WeightVector.  A library error that
+reports a broken mesh invariant is a bug, never a permitted outcome,
+whether the build or a call raises it.
 """
 
 import math
@@ -93,12 +95,18 @@ def _finite(value):
     return math.isfinite(value)
 
 
+def _permitted(exc):
+    """Whether exc, a library error, is one a hard input may raise: any
+    but a broken mesh invariant."""
+    return not str(exc).startswith("mesh invariant broken")
+
+
 def _holds(call):
-    """Whether call() returns finite numbers or raises a library error."""
+    """Whether call() returns finite numbers or raises a permitted library error."""
     try:
         result = call()
-    except LIBRARY_ERRORS:
-        return True
+    except LIBRARY_ERRORS as exc:
+        return _permitted(exc)
     if hasattr(result, "entries"):
         return all(_finite(a) for _, a in result.entries)
     if hasattr(result, "bounded"):
@@ -108,10 +116,11 @@ def _holds(call):
 
 
 def _answer(call):
-    """call()'s result, or None where it raises a library error."""
+    """call()'s result, or None where it raises a permitted library error."""
     try:
         return call()
-    except LIBRARY_ERRORS:
+    except LIBRARY_ERRORS as exc:
+        assert _permitted(exc), exc
         return None
 
 
@@ -151,7 +160,8 @@ def test_every_public_call_returns_a_finite_value_or_a_library_error(kind, seed)
     try:
         samples = SampleSet(sites, z)
         tri = build_delaunay(samples)
-    except LIBRARY_ERRORS:
+    except LIBRARY_ERRORS as exc:
+        assert _permitted(exc), exc
         return
     for q in queries:
         assert _holds(lambda: sibson_interpolate(tri, z, q)), q
@@ -189,6 +199,7 @@ def test_every_public_call_returns_a_finite_value_or_a_library_error(kind, seed)
                 try:
                     value, error = interpolate(subject, q), None
                 except LIBRARY_ERRORS as exc:
+                    assert _permitted(exc), exc
                     error = exc
                 assert (kind is QueryKind.EXTERIOR) == isinstance(error, errors.OutsideDomainError), (kind, q, error)
                 on_boundary = isinstance(error, errors.DegenerateBoundaryError) and str(error).endswith("hull boundary")

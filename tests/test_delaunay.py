@@ -31,7 +31,7 @@ from lunenn import (
     voronoi_cell_polygon,
 )
 from lunenn import delaunay, errors
-from lunenn.delaunay import GHOST, _brio_order, _cell_key
+from lunenn.delaunay import _BRIO_SEED, GHOST, _brio_order
 from lunenn.fileio import GridSpec, evaluate_grid
 from lunenn.geometry import Point
 from lunenn.hull import convex_hull
@@ -174,16 +174,28 @@ def test_build_deterministic():
 def test_brio_order_is_a_fixed_permutation():
     rng = random.Random(229)
     samples = _random_samples(rng, n=500)
-    keys = [_cell_key(samples._box, p) for p in samples._unit]
-    order = _brio_order(keys)
+    order = _brio_order(samples)
     assert sorted(order) == list(range(500))
     assert order != sorted(order)
-    assert _brio_order(keys) == order
+    assert _brio_order(samples) == order
+    # The rounds are those of the seeded shuffle, 1, 2, 4, 8, ... 250
+    # sites, and each runs along the snake of the grid cells: row by row,
+    # even rows left to right and odd ones back.
+    shuffled = list(range(500))
+    random.Random(_BRIO_SEED).shuffle(shuffled)
+    _, cols, _, cells = samples._buckets
+    snake = {i: r * cols + (c if r % 2 == 0 else cols - 1 - c) for (c, r), sites in cells.items() for i in sites}
+    ends = [500 >> k for k in range(9, -1, -1)]
+    for lo, hi in zip(ends, ends[1:]):
+        assert set(order[lo:hi]) == set(shuffled[lo:hi])
+        keys = [snake[i] for i in order[lo:hi]]
+        assert keys == sorted(keys)
 
 
 def test_build_walks_a_few_triangles_per_site(monkeypatch):
     # In input order the walk crosses O(sqrt n) triangles per insertion
-    # (about 50 orientation tests a site at n = 2000); BRIO takes about 7.
+    # (about 50 orientation tests a site at n = 2000); BRIO rounds along
+    # the snake of the grid cells take about 9.
     calls = []
 
     def counting(p, q, r):
@@ -200,7 +212,7 @@ def test_build_walks_a_few_triangles_per_site(monkeypatch):
 def test_sibson_queries_walk_a_few_triangles(monkeypatch):
     # From the triangle where the last query ended a random query walks
     # O(sqrt n) triangles (about 65 orientation tests at n = 2000); from
-    # the site whose Hilbert key is next to the query's it takes about 6.
+    # a site in the query's grid cell it takes about 6.
     rng = random.Random(239)
     sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2000)]
     samples = SampleSet(sites, [x + 2 * y for x, y in sites])
@@ -216,6 +228,38 @@ def test_sibson_queries_walk_a_few_triangles(monkeypatch):
     for _ in range(queries):
         sibson_interpolate(tri, samples.elevations, (rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)))
     assert len(calls) < 15 * queries
+
+
+def test_walks_from_past_a_corner_start_in_the_clamped_corner_cell():
+    # A disk leaves the corners of its box empty.  Queries past one corner
+    # clamp onto the same corner cell, however far they lie, so their walk
+    # starts read the same grid cells: the corner, its edge neighbours, then
+    # a march across the grid, not ring blocks.  On a disk of radius 2**-30,
+    # 2**1000 is more cells away than the float range holds.
+    rng = random.Random(241)
+    sites = []
+    while len(sites) < 2000:
+        x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        if x * x + y * y < 1:
+            sites.append((math.ldexp(x, -30), math.ldexp(y, -30)))
+    samples = SampleSet(sites, [0.0] * len(sites))
+    tri = build_delaunay(samples)
+    size, cols, rows, cells = samples._buckets
+    assert (cols - 1, rows - 1) not in cells
+    reads = []
+
+    class Counting(dict):
+        def get(self, key, default=None):
+            reads[-1] += 1
+            return super().get(key, default)
+
+    samples._buckets = size, cols, rows, Counting(cells)
+    for q in ((1.5, 1.5), (1e6, 1e6), (2.0**1000, 2.0**1000)):
+        reads.append(0)
+        with pytest.raises(OutsideDomainError):
+            sibson_weights(tri, q)
+    assert 5 < reads[0] <= 5 + max(cols, rows)
+    assert reads == [reads[0]] * 3
 
 
 def test_build_across_the_double_range():

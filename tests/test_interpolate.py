@@ -1055,15 +1055,15 @@ def test_a_meshed_set_places_each_interpolate_query_once(monkeypatch):
     rng, samples = _square_with_uniform_sites(467)
     samples._mesh = build_delaunay(samples)
     monkeypatch.setattr(module, "classify_query", lambda *args: pytest.fail("classify_query called"))
-    walk = samples._mesh._walk_cavity
+    cavity = samples._mesh._cavity
     cycles = []
 
-    def walk_once(p):
-        cavity, cycle = walk(p)
-        cycles.append(cycle)
-        return cavity, cycle
+    def recorded(*args):
+        found = cavity(*args)
+        cycles.append(found[1])
+        return found
 
-    monkeypatch.setattr(samples._mesh, "_walk_cavity", walk_once)
+    monkeypatch.setattr(samples._mesh, "_cavity", recorded)
     inverted = []
     invert = module._inverted_images
     monkeypatch.setattr(module, "_inverted_images", lambda samples, p, indices: inverted.append(set(indices)) or invert(samples, p, indices))
