@@ -12,7 +12,9 @@ triangles per insertion.  The order only steers the walks.  A query
 jumps to a site in its cell of that grid, clamped onto it, and walks
 from a triangle there (Muecke, Saias & Zhu 1996), a few triangles at any
 n.  Queries write nothing, so after the build the mesh is read-only.
-Cocircular ties are broken by a symbolic perturbation that treats
+The walk and the cavity search run the float filters of predicates in
+line, with its constants, and go exact only where a filter cannot
+decide.  Cocircular ties are broken by a symbolic perturbation that treats
 lower-indexed sites as infinitesimally lifted, which makes the result
 independent of insertion order.  A triangle's vertex order is fixed when
 it is created; the fan of an insertion reuses the slots of the cavity it
@@ -37,10 +39,11 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from . import predicates
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, _circumcenter
 from .interpolate import LuneAngleSet, QueryKind, SampleSet, WeightVector, _blend, _elevation, _finite_point, _snap
-from .predicates import incircle_sign_unchecked, orientation_sign
+from .predicates import _INCIRCLE_BOUND, _INCIRCLE_FLOOR, _ORIENT_BOUND, orientation_sign
 
 GHOST = -1
 
@@ -67,10 +70,11 @@ def _brio_order(samples: SampleSet) -> list:
 
 def _perturbed_in_disk(pa, pb, pc, pt, ia, ib, ic, it) -> bool:
     """True iff t lies inside the circumdisk of CCW triangle abc after the
-    symbolic perturbation.  On a cocircular tie the lowest-indexed point
+    symbolic perturbation, for a close call the float filter left: the
+    exact sign decides.  On a cocircular tie the lowest-indexed point
     decides: its term in the lifted determinant is the orientation of the
     other three points, with alternating sign by row."""
-    raw = incircle_sign_unchecked(pa, pb, pc, pt)
+    raw = predicates._incircle_exact(pa, pb, pc, pt)
     if raw != 0:
         return raw > 0
     terms = sorted(
@@ -122,11 +126,13 @@ class Triangulation:
     the hull, kept nowhere else: ghost vs is hull edge vs[1] -> vs[0].  The
     public views are sorted copies, built once: triangles, the finite ones,
     and neighbors[i][e], an index into triangles or None on the hull.
-    _incident[i] is a finite triangle at site i, where walks start."""
+    _incident[i] is a finite triangle at site i, where walks start.  _xs
+    and _ys list the framed coordinates: indexing them beats unpacking a Point."""
 
     def __init__(self, samples: SampleSet):
         self._samples = samples
         self._pts = samples._unit
+        self._xs, self._ys = [p.x for p in self._pts], [p.y for p in self._pts]
         self._build(_brio_order(samples))
         self._finalize()
 
@@ -173,39 +179,34 @@ class Triangulation:
         self._verts[t] = (u, v, w)
         self._nbrs[t] = nbrs
 
-    def _in_disk(self, t, p, pidx) -> bool:
-        vs = self._verts[t]
-        if vs[2] == GHOST:
-            # Ghost for hull edge vs[1] -> vs[0]: its disk is the open
-            # outer halfplane plus the open hull edge itself.
-            a = self._pts[vs[1]]
-            b = self._pts[vs[0]]
-            side = orientation_sign(a, b, p)
-            if side < 0:
-                return True
-            if side == 0:
-                return _strictly_between(a, b, p)
-            return False
-        ia, ib, ic = vs
-        return _perturbed_in_disk(
-            self._pts[ia], self._pts[ib], self._pts[ic], p, ia, ib, ic, pidx
-        )
-
     def _locate(self, p, t):
         """Walk toward p from the finite triangle t; on a Delaunay
         triangulation the walk terminates (Devillers, Pion & Teillaud 2002).
         Returns a finite triangle whose closed interior holds p, or a ghost
-        once the walk leaves the hull."""
+        once the walk leaves the hull.  The orientation float filter of
+        predicates runs in line, with its bound; orientation_sign decides
+        only what the filter leaves."""
+        verts, nbrs, xs, ys = self._verts, self._nbrs, self._xs, self._ys
+        px, py = p
         came_from = -1
-        for _ in range(4 * len(self._verts) + 16):
-            vs = self._verts[t]
+        for _ in range(4 * len(verts) + 16):
+            vs = verts[t]
             if vs[2] == GHOST:
                 return t
-            for e in range(3):
-                nb = self._nbrs[t][e]
+            for e in (0, 1, 2):
+                nb = nbrs[t][e]
                 if nb == came_from:
                     continue
-                if orientation_sign(self._pts[vs[e]], self._pts[vs[(e + 1) % 3]], p) < 0:
+                a, b = vs[e], vs[e - 2]
+                ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+                detleft = (bx - ax) * (py - ay)
+                detright = (by - ay) * (px - ax)
+                det = detleft - detright
+                if abs(det) > _ORIENT_BOUND * (abs(detleft) + abs(detright)):
+                    right = det < 0
+                else:
+                    right = orientation_sign((ax, ay), (bx, by), p) < 0
+                if right:
                     came_from = t
                     t = nb
                     break
@@ -216,64 +217,100 @@ class Triangulation:
     def _cavity(self, seed, p, pidx):
         """(cavity, cycle): the triangles whose circumdisk holds p, by a
         depth-first search from seed, and the boundary edges (u, v, triangle
-        outside, triangle inside) it meets, chained into the CCW cycle."""
-        # p is no vertex, so a finite seed holds it strictly inside its
-        # circumdisk and a ghost seed strictly beyond its hull edge.
-        if not self._in_disk(seed, p, pidx):
-            raise DegenerateInputError("mesh invariant broken: located triangle does not hold the point")
-        cavity = {seed}
-        edges = []
-        stack = [seed]
-        while stack:
-            t = stack.pop()
-            vs = self._verts[t]
-            for e, nb in enumerate(self._nbrs[t]):
-                if nb in cavity:
+        outside, triangle inside) it meets, chained into the CCW cycle.  A
+        ghost's disk is the open outer halfplane of its hull edge plus the
+        open edge.  On a finite triangle the in-circle float filter of
+        predicates runs in line, with its bound and floor; only the close
+        calls it leaves go exact, through the symbolic perturbation.  Each
+        triangle is tested once."""
+        verts, nbrs, pts, xs, ys = self._verts, self._nbrs, self._pts, self._xs, self._ys
+        px, py = p
+        cavity, outside, nxt, stack = set(), set(), {}, []
+        # The seed is reached from no triangle.  p is no vertex, so a finite
+        # seed holds it strictly inside its circumdisk and a ghost seed
+        # strictly beyond its hull edge.
+        inner, reached = None, ((seed, None, None),)
+        while True:
+            for t, u, v in reached:
+                if t in cavity:
                     continue
-                if self._in_disk(nb, p, pidx):
-                    cavity.add(nb)
-                    stack.append(nb)
-                else:
-                    edges.append((vs[e], vs[(e + 1) % 3], nb, t))
-        nxt = {u: (v, outside, inside) for u, v, outside, inside in edges}
-        if not edges or len(nxt) != len(edges):
+                if t not in outside:
+                    vs = verts[t]
+                    if vs[2] == GHOST:
+                        a, b = pts[vs[1]], pts[vs[0]]
+                        side = orientation_sign(a, b, p)
+                        holds = side < 0 or side == 0 and _strictly_between(a, b, p)
+                    else:
+                        ia, ib, ic = vs
+                        adx, ady, bdx, bdy = xs[ia] - px, ys[ia] - py, xs[ib] - px, ys[ib] - py
+                        cdx, cdy = xs[ic] - px, ys[ic] - py
+                        bdxcdy, cdxbdy, alift = bdx * cdy, cdx * bdy, adx * adx + ady * ady
+                        cdxady, adxcdy, blift = cdx * ady, adx * cdy, bdx * bdx + bdy * bdy
+                        adxbdy, bdxady, clift = adx * bdy, bdx * ady, cdx * cdx + cdy * cdy
+                        det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
+                        permanent = (alift * (abs(bdxcdy) + abs(cdxbdy)) + blift * (abs(cdxady) + abs(adxcdy))
+                                     + clift * (abs(adxbdy) + abs(bdxady)))
+                        if abs(det) > _INCIRCLE_BOUND * permanent and permanent >= _INCIRCLE_FLOOR:
+                            holds = det > 0
+                        else:
+                            holds = _perturbed_in_disk(pts[ia], pts[ib], pts[ic], p, ia, ib, ic, pidx)
+                    if holds:
+                        cavity.add(t)
+                        stack.append(t)
+                        continue
+                    outside.add(t)
+                if inner is None:
+                    raise DegenerateInputError("mesh invariant broken: located triangle does not hold the point")
+                if u in nxt:
+                    raise DegenerateInputError("mesh invariant broken: cavity boundary is not a simple cycle")
+                nxt[u] = (v, t, inner)
+            if not stack:
+                break
+            inner = stack.pop()
+            vs = verts[inner]
+            reached = zip(nbrs[inner], vs, (vs[1], vs[2], vs[0]))
+        if not nxt:
             raise DegenerateInputError("mesh invariant broken: cavity boundary is not a simple cycle")
         cycle = []
-        u = edges[0][0]
-        for _ in range(len(edges)):
-            v, outside, inside = nxt[u]
-            cycle.append((u, v, outside, inside))
+        u = start = next(iter(nxt))
+        for _ in range(len(nxt)):
+            v, outer, inner = nxt[u]
+            cycle.append((u, v, outer, inner))
             u = v
-        if u != edges[0][0] or len(cycle) != len(edges):
+        if u != start:
             raise DegenerateInputError("mesh invariant broken: cavity boundary is not a single cycle")
         return cavity, cycle
 
     def _insert(self, idx, start) -> int:
         """Insert site idx, walking from triangle start; returns a finite triangle of the fan."""
+        verts, nbrs = self._verts, self._nbrs
         p = self._pts[idx]
-        seed = self._locate(p, start)
-        cavity, cycle = self._cavity(seed, p, idx)
+        cavity, cycle = self._cavity(self._locate(p, start), p, idx)
         # The cavity is a disk with every vertex on its boundary, so the fan
         # has two triangles more: it takes the cavity's slots and two new ones.
         k = len(cycle)
         if k != len(cavity) + 2:
             raise DegenerateInputError("mesh invariant broken: cavity has an interior vertex")
-        n = len(self._verts)
+        n = len(verts)
         fan = [*cavity, n, n + 1]
-        self._verts += [None, None]
-        self._nbrs += [None, None]
+        verts += [None, None]
+        nbrs += [None, None]
+        finite = None
         # Fan triangle j = (u_j, v_j, idx) meets the outside across u_j v_j,
         # fan triangle j+1 across v_j idx and fan triangle j-1 across idx u_j.
         for j, (u, v, outside, _) in enumerate(cycle):
-            self._set_triangle(fan[j], u, v, idx, [outside, fan[(j + 1) % k], fan[j - 1]])
-            ovs = self._verts[outside]
-            for e in range(3):
-                if ovs[e] == v and ovs[(e + 1) % 3] == u:
-                    self._nbrs[outside][e] = fan[j]
+            t = fan[j]
+            self._set_triangle(t, u, v, idx, [outside, fan[(j + 1) % k], fan[j - 1]])
+            ovs = verts[outside]
+            for e in (0, 1, 2):
+                if ovs[e] == v and ovs[e - 2] == u:
+                    nbrs[outside][e] = t
                     break
             else:
                 raise DegenerateInputError("mesh invariant broken: boundary neighbor back-link not found")
-        return next(f for f, (u, v, _, _) in zip(fan, cycle) if GHOST not in (u, v))
+            if finite is None and u != GHOST and v != GHOST:
+                finite = t
+        return finite
 
     def _finalize(self):
         # Eager on purpose: views built on first read made Sibson queries slower.
@@ -282,16 +319,17 @@ class Triangulation:
             (t for t, vs in enumerate(verts) if vs[2] != GHOST),
             key=verts.__getitem__,
         )
-        position = {t: i for i, t in enumerate(finite)}
-        self.triangles = tuple(verts[t] for t in finite)
-        self.neighbors = tuple(
-            tuple(position.get(nb) for nb in self._nbrs[t]) for t in finite
-        )
+        # A ghost's position stays None: no view holds it.
+        position = [None] * len(verts)
+        for i, t in enumerate(finite):
+            position[t] = i
+        self.triangles = tuple([verts[t] for t in finite])
+        self.neighbors = tuple([tuple(map(position.__getitem__, self._nbrs[t])) for t in finite])
         # Every site is a vertex of some finite triangle; each takes its first.
-        self._incident = [None] * len(self._pts)
+        incident = self._incident = [None] * len(self._pts)
         for t in reversed(finite):
-            for v in verts[t]:
-                self._incident[v] = t
+            a, b, c = verts[t]
+            incident[a] = incident[b] = incident[c] = t
 
     # -- virtual insertion -------------------------------------------
 

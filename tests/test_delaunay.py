@@ -30,7 +30,7 @@ from lunenn import (
     sibson_weights,
     voronoi_cell_polygon,
 )
-from lunenn import delaunay, errors
+from lunenn import delaunay, errors, predicates
 from lunenn.delaunay import _BRIO_SEED, GHOST, _brio_order
 from lunenn.fileio import GridSpec, evaluate_grid
 from lunenn.geometry import Point
@@ -195,7 +195,9 @@ def test_brio_order_is_a_fixed_permutation():
 def test_build_walks_a_few_triangles_per_site(monkeypatch):
     # In input order the walk crosses O(sqrt n) triangles per insertion
     # (about 50 orientation tests a site at n = 2000); BRIO rounds along
-    # the snake of the grid cells take about 9.
+    # the snake of the grid cells take about 9.  The walk runs the float
+    # filter in line; an infinite bound sends every test to
+    # orientation_sign, so the count sees them all.
     calls = []
 
     def counting(p, q, r):
@@ -203,10 +205,11 @@ def test_build_walks_a_few_triangles_per_site(monkeypatch):
         return orientation_sign(p, q, r)
 
     monkeypatch.setattr(delaunay, "orientation_sign", counting)
+    monkeypatch.setattr(delaunay, "_ORIENT_BOUND", math.inf)
     rng = random.Random(233)
     sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2000)]
     build_delaunay(SampleSet(sites, [0.0] * len(sites)))
-    assert len(calls) < 15 * len(sites)
+    assert len(sites) <= len(calls) < 15 * len(sites)
 
 
 def test_sibson_queries_walk_a_few_triangles(monkeypatch):
@@ -224,10 +227,61 @@ def test_sibson_queries_walk_a_few_triangles(monkeypatch):
         return orientation_sign(p, q, r)
 
     monkeypatch.setattr(delaunay, "orientation_sign", counting)
+    monkeypatch.setattr(delaunay, "_ORIENT_BOUND", math.inf)
     queries = 200
     for _ in range(queries):
         sibson_interpolate(tri, samples.elevations, (rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)))
-    assert len(calls) < 15 * queries
+    assert queries <= len(calls) < 15 * queries
+
+
+def _filter_corpus():
+    # (name, sites, box of the queries): random sites, a cocircular
+    # lattice, the lattice moved by a few ulps, and that moved far from the
+    # origin and scaled by 2**900 (in-circle products overflow) and by
+    # 2**-900 (they fall below the filter's floor, where dropping it shows).
+    rng = random.Random(251)
+    corners = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+    yield "random", corners + [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(300)], (-0.9, 0.9)
+    lattice = [(float(x), float(y)) for x in range(40) for y in range(40)]
+    yield "lattice", lattice, (1.0, 38.0)
+
+    def jitter(c):
+        return c + rng.randint(-3, 3) * math.ulp(c)
+
+    jittered = [(jitter(x), jitter(y)) for x, y in lattice]
+    yield "jittered", jittered, (1.0, 38.0)
+    for e in (900, -900):
+        sites = [(math.ldexp(x + 10000, e), math.ldexp(y + 10000, e)) for x, y in jittered]
+        yield "2**%d" % e, sites, (math.ldexp(10001, e), math.ldexp(10038, e))
+
+
+def test_inline_filters_change_no_decision(monkeypatch):
+    # The walk and the cavity search run the float filters in line.  With
+    # infinite bounds every test takes the exact route; the mesh and the
+    # Sibson weights must not change.  The lattice's close calls must reach
+    # predicates._incircle_exact, where the exact counts are read.
+    incircle_exact = predicates._incircle_exact
+    exact = []
+
+    def counting(*args):
+        exact.append(None)
+        return incircle_exact(*args)
+
+    monkeypatch.setattr(predicates, "_incircle_exact", counting)
+    rng = random.Random(257)
+    for name, sites, (lo, hi) in _filter_corpus():
+        samples = SampleSet(sites, [0.0] * len(sites))
+        queries = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(50)]
+        exact.clear()
+        tri = build_delaunay(samples)
+        if name == "lattice":
+            assert exact
+        shipped = (tri.triangles, tri.neighbors, [sibson_weights(tri, q) for q in queries])
+        with monkeypatch.context() as patch:
+            patch.setattr(delaunay, "_ORIENT_BOUND", math.inf)
+            patch.setattr(delaunay, "_INCIRCLE_BOUND", math.inf)
+            tri = build_delaunay(samples)
+            assert (tri.triangles, tri.neighbors, [sibson_weights(tri, q) for q in queries]) == shipped
 
 
 def test_walks_from_past_a_corner_start_in_the_clamped_corner_cell():
@@ -861,6 +915,10 @@ _LIBRARY_ERRORS = tuple(
 def test_broken_orientation_raises_a_library_error(monkeypatch, lie):
     # A mesh invariant broken by a lying predicate surfaces as an error
     # from lunenn.errors, never as AssertionError, IndexError or KeyError.
+    # Infinite filter bounds send every walk and cavity decision to the
+    # exact route, so the liar decides each orientation the mesh asks for.
+    monkeypatch.setattr(delaunay, "_ORIENT_BOUND", math.inf)
+    monkeypatch.setattr(delaunay, "_INCIRCLE_BOUND", math.inf)
     rng = random.Random(241)
     liar = {
         "negative": lambda p, q, r: -1,
