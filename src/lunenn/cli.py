@@ -83,29 +83,22 @@ def _build_parser():
     parser = _Parser(prog="lunenn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="interpolate at a single point")
-    p_eval.add_argument("--samples", required=True)
+    # The options of every command that reads a sample file.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--samples", required=True)
+    common.add_argument("--weight-fn", default="tan-half", choices=sorted(_WEIGHT_FUNCTIONS))
+
+    p_eval = sub.add_parser("eval", parents=[common], help="interpolate at a single point")
     p_eval.add_argument("--at", required=True, type=_parse_point)
-    p_eval.add_argument(
-        "--weight-fn", default="tan-half", choices=sorted(_WEIGHT_FUNCTIONS)
-    )
     p_eval.add_argument("--allow-exterior", action="store_true")
 
-    p_weights = sub.add_parser("weights", help="neighbor angle/weight table")
-    p_weights.add_argument("--samples", required=True)
+    p_weights = sub.add_parser("weights", parents=[common], help="neighbor angle/weight table")
     p_weights.add_argument("--at", required=True, type=_parse_point)
-    p_weights.add_argument(
-        "--weight-fn", default="tan-half", choices=sorted(_WEIGHT_FUNCTIONS)
-    )
 
-    p_grid = sub.add_parser("grid", help="rasterize the interpolant to a PGM")
-    p_grid.add_argument("--samples", required=True)
+    p_grid = sub.add_parser("grid", parents=[common], help="rasterize the interpolant to a PGM")
     p_grid.add_argument("--grid", required=True, type=_parse_grid)
     p_grid.add_argument("--out", required=True)
     p_grid.add_argument("--method", default="moebius", choices=["moebius", "sibson"])
-    p_grid.add_argument(
-        "--weight-fn", default="tan-half", choices=sorted(_WEIGHT_FUNCTIONS)
-    )
 
     p_exp = sub.add_parser("experiment", help="run a seeded experiment")
     p_exp.add_argument("kind", choices=["invariance", "harmonic"])
@@ -127,31 +120,7 @@ def _format_value(value):
 
 
 def _run(args):
-    if args.command == "eval":
-        samples = load_samples_csv(args.samples)
-        value = interpolate(
-            samples,
-            args.at,
-            _WEIGHT_FUNCTIONS[args.weight_fn],
-            allow_exterior=args.allow_exterior,
-        )
-        print(_format_value(value))
-    elif args.command == "weights":
-        samples = load_samples_csv(args.samples)
-        angles = lune_angles(samples, args.at)
-        weights = weights_from_angles(angles, _WEIGHT_FUNCTIONS[args.weight_fn])
-        print("index,theta,weight")
-        for (i, theta), (_, w) in zip(angles.entries, weights.entries):
-            print("%d,%.17g,%.17g" % (i, theta, w))
-    elif args.command == "grid":
-        samples = load_samples_csv(args.samples)
-        x_min, x_max, y_min, y_max, nx, ny = args.grid
-        spec = GridSpec(x_min, x_max, y_min, y_max, nx, ny)
-        rows = evaluate_grid(
-            samples, spec, method=args.method, weight_fn=_WEIGHT_FUNCTIONS[args.weight_fn]
-        )
-        write_pgm(rows, args.out)
-    else:
+    if args.command == "experiment":
         if args.kind == "invariance":
             report = experiment_invariance(args.seed, args.trials)
         else:
@@ -160,6 +129,21 @@ def _run(args):
             )
         report.write_csv(args.out)
         print("%s: %s" % (report.name, "pass" if report.passed else "fail"))
+        return 0
+    samples = load_samples_csv(args.samples)
+    weight_fn = _WEIGHT_FUNCTIONS[args.weight_fn]
+    if args.command == "eval":
+        value = interpolate(samples, args.at, weight_fn, allow_exterior=args.allow_exterior)
+        print(_format_value(value))
+    elif args.command == "weights":
+        angles = lune_angles(samples, args.at)
+        weights = weights_from_angles(angles, weight_fn)
+        print("index,theta,weight")
+        for (i, theta), (_, w) in zip(angles.entries, weights.entries):
+            print("%d,%.17g,%.17g" % (i, theta, w))
+    else:
+        rows = evaluate_grid(samples, GridSpec(*args.grid), method=args.method, weight_fn=weight_fn)
+        write_pgm(rows, args.out)
     return 0
 
 

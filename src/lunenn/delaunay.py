@@ -221,11 +221,10 @@ class Triangulation:
         ghost's disk is the open outer halfplane of its hull edge plus the
         open edge.  On a finite triangle the in-circle float filter of
         predicates runs in line, with its bound and floor; only the close
-        calls it leaves go exact, through the symbolic perturbation.  Each
-        triangle is tested once."""
+        calls it leaves go exact, through the symbolic perturbation."""
         verts, nbrs, pts, xs, ys = self._verts, self._nbrs, self._pts, self._xs, self._ys
         px, py = p
-        cavity, outside, nxt, stack = set(), set(), {}, []
+        cavity, nxt, stack = set(), {}, []
         # The seed is reached from no triangle.  p is no vertex, so a finite
         # seed holds it strictly inside its circumdisk and a ghost seed
         # strictly beyond its hull edge.
@@ -234,31 +233,29 @@ class Triangulation:
             for t, u, v in reached:
                 if t in cavity:
                     continue
-                if t not in outside:
-                    vs = verts[t]
-                    if vs[2] == GHOST:
-                        a, b = pts[vs[1]], pts[vs[0]]
-                        side = orientation_sign(a, b, p)
-                        holds = side < 0 or side == 0 and _strictly_between(a, b, p)
+                vs = verts[t]
+                if vs[2] == GHOST:
+                    a, b = pts[vs[1]], pts[vs[0]]
+                    side = orientation_sign(a, b, p)
+                    holds = side < 0 or side == 0 and _strictly_between(a, b, p)
+                else:
+                    ia, ib, ic = vs
+                    adx, ady, bdx, bdy = xs[ia] - px, ys[ia] - py, xs[ib] - px, ys[ib] - py
+                    cdx, cdy = xs[ic] - px, ys[ic] - py
+                    bdxcdy, cdxbdy, alift = bdx * cdy, cdx * bdy, adx * adx + ady * ady
+                    cdxady, adxcdy, blift = cdx * ady, adx * cdy, bdx * bdx + bdy * bdy
+                    adxbdy, bdxady, clift = adx * bdy, bdx * ady, cdx * cdx + cdy * cdy
+                    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
+                    permanent = (alift * (abs(bdxcdy) + abs(cdxbdy)) + blift * (abs(cdxady) + abs(adxcdy))
+                                 + clift * (abs(adxbdy) + abs(bdxady)))
+                    if abs(det) > _INCIRCLE_BOUND * permanent and permanent >= _INCIRCLE_FLOOR:
+                        holds = det > 0
                     else:
-                        ia, ib, ic = vs
-                        adx, ady, bdx, bdy = xs[ia] - px, ys[ia] - py, xs[ib] - px, ys[ib] - py
-                        cdx, cdy = xs[ic] - px, ys[ic] - py
-                        bdxcdy, cdxbdy, alift = bdx * cdy, cdx * bdy, adx * adx + ady * ady
-                        cdxady, adxcdy, blift = cdx * ady, adx * cdy, bdx * bdx + bdy * bdy
-                        adxbdy, bdxady, clift = adx * bdy, bdx * ady, cdx * cdx + cdy * cdy
-                        det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
-                        permanent = (alift * (abs(bdxcdy) + abs(cdxbdy)) + blift * (abs(cdxady) + abs(adxcdy))
-                                     + clift * (abs(adxbdy) + abs(bdxady)))
-                        if abs(det) > _INCIRCLE_BOUND * permanent and permanent >= _INCIRCLE_FLOOR:
-                            holds = det > 0
-                        else:
-                            holds = _perturbed_in_disk(pts[ia], pts[ib], pts[ic], p, ia, ib, ic, pidx)
-                    if holds:
-                        cavity.add(t)
-                        stack.append(t)
-                        continue
-                    outside.add(t)
+                        holds = _perturbed_in_disk(pts[ia], pts[ib], pts[ic], p, ia, ib, ic, pidx)
+                if holds:
+                    cavity.add(t)
+                    stack.append(t)
+                    continue
                 if inner is None:
                     raise DegenerateInputError("mesh invariant broken: located triangle does not hold the point")
                 if u in nxt:
@@ -334,50 +331,47 @@ class Triangulation:
     # -- virtual insertion -------------------------------------------
 
     def _place(self, p, snap: bool):
-        """(kind, site, cavity, cycle) of the framed point p: COINCIDENT and
-        the site p is, or if snap the one _snap finds over the cycle, else
-        None and the kind the cavity gives.  A ghost in it puts p on the hull
-        if its edge passes through p, else outside it: classify_query's
-        outcome unless rounding ties or reorders the squared distances of
-        sites almost equally far from p.  A site p is has no cavity (None).
+        """(kind, cavity, cycle) of the framed point p.  A site p is, or if
+        snap the one _snap finds over the cycle, raises CoincidentQueryError.
+        A ghost in the cavity puts p on the hull if its edge passes through
+        p, else outside it: classify_query's outcome unless rounding ties or
+        reorders the squared distances of sites almost equally far from p.
         The walk starts at a site in p's cell of SampleSet._buckets clamped
         onto the grid, else in its four edge neighbours, else on the march to
         the cell of site 0, first in the map: cols + rows reads at most."""
         i = self._samples._index.get(p)
+        if i is None:
+            x0, y0, _, _ = self._samples._box
+            size, cols, rows, cells = self._samples._buckets
+            # Clamped in float: floor() of a quotient near 2**1000 overflows.
+            c = math.floor(min(max((p.x - x0) / size, 0.0), cols - 1.0))
+            r = math.floor(min(max((p.y - y0) / size, 0.0), rows - 1.0))
+            near = (cells.get((c, r)) or cells.get((c - 1, r)) or cells.get((c + 1, r))
+                    or cells.get((c, r - 1)) or cells.get((c, r + 1)))
+            if not near:
+                tc, tr = next(iter(cells))
+                n = max(abs(tc - c), abs(tr - r))
+                march = ((c + round(k * (tc - c) / n), r + round(k * (tr - r) / n)) for k in range(1, n + 1))
+                near = next(filter(None, map(cells.get, march)))
+            cavity, cycle = self._cavity(self._locate(p, self._incident[near[0]]), p, len(self._pts))
+            # Every site nearest to p borders the cavity: the circle on
+            # diameter p-q holds no other site.
+            if snap:
+                i = _snap(self._samples, p.x, p.y, (u for u, _, _, _ in cycle if u != GHOST))
         if i is not None:
-            return QueryKind.COINCIDENT, i, None, None
-        x0, y0, _, _ = self._samples._box
-        size, cols, rows, cells = self._samples._buckets
-        # Clamped in float: floor() of a quotient near 2**1000 overflows.
-        c = math.floor(min(max((p.x - x0) / size, 0.0), cols - 1.0))
-        r = math.floor(min(max((p.y - y0) / size, 0.0), rows - 1.0))
-        near = (cells.get((c, r)) or cells.get((c - 1, r)) or cells.get((c + 1, r))
-                or cells.get((c, r - 1)) or cells.get((c, r + 1)))
-        if not near:
-            tc, tr = next(iter(cells))
-            n = max(abs(tc - c), abs(tr - r))
-            march = ((c + round(k * (tc - c) / n), r + round(k * (tr - r) / n)) for k in range(1, n + 1))
-            near = next(filter(None, map(cells.get, march)))
-        cavity, cycle = self._cavity(self._locate(p, self._incident[near[0]]), p, len(self._pts))
-        # Every site nearest to p borders the cavity: the circle on
-        # diameter p-q holds no other site.
-        i = _snap(self._samples, p.x, p.y, (u for u, _, _, _ in cycle if u != GHOST)) if snap else None
-        if i is not None:
-            return QueryKind.COINCIDENT, i, cavity, cycle
+            raise CoincidentQueryError("query coincides with site %d" % i, i)
         ghosts = [self._verts[t] for t in cavity if self._verts[t][2] == GHOST]
         if not ghosts:
-            return QueryKind.INTERIOR, None, cavity, cycle
+            return QueryKind.INTERIOR, cavity, cycle
         on = any(orientation_sign(self._pts[v], self._pts[u], p) == 0 for u, v, _ in ghosts)
-        return QueryKind.ON_BOUNDARY if on else QueryKind.EXTERIOR, None, cavity, cycle
+        return QueryKind.ON_BOUNDARY if on else QueryKind.EXTERIOR, cavity, cycle
 
     def _virtual_cavity(self, s):
         """(point, cavity, cycle) of the virtual insertion of s.  A query
         that _place snaps to a site raises CoincidentQueryError, one on or
         outside the site hull OutsideDomainError."""
         p = self._samples._frame(s)
-        kind, i, cavity, cycle = self._place(p, True)
-        if i is not None:
-            raise CoincidentQueryError("query coincides with site %d" % i, i)
+        kind, cavity, cycle = self._place(p, True)
         if kind is not QueryKind.INTERIOR:
             raise OutsideDomainError("query lies on or outside the site hull")
         return p, cavity, cycle

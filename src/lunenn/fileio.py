@@ -21,14 +21,14 @@ _CELL_ERRORS = (OutsideDomainError, DegenerateBoundaryError, DegenerateInputErro
 
 def load_samples_csv(path) -> SampleSet:
     """Read sites and elevations from a CSV with header ``x,y,z`` or
-    ``x,y,z_re,z_im``.  Lines starting with ``#`` and blank lines are
-    skipped; malformed rows and duplicate sites are reported with their
-    line number."""
+    ``x,y,z_re,z_im``, with or without a UTF-8 byte-order mark.  Lines
+    starting with ``#`` and blank lines are skipped; malformed rows and
+    duplicate sites are reported with their line number."""
     sites = []
     elevations = []
     header = None
     seen = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

@@ -262,15 +262,15 @@ def _candidates(samples: SampleSet, p: Point, allow_exterior: Optional[bool] = N
     _rings up to its third block.  The set's first query that needs more
     goes on ring by ring; the second builds samples._mesh.  From then on
     a query's one batch, with reach None, is the cycle sites of its one
-    virtual insertion, and the hull corners if p is not interior.  Unless
-    allow_exterior is None, p snaps over its first ring block or its
-    cycle, and is _refused by the mesh's kind, or by its _side before a
-    ring batch with reach None and before a fourth, which would count a
-    miss.  _lune_angles pulls no more once every corner edge of the
-    images' hull is _clear_of the 1/reach disk (NaN never is): the origin
-    is then strictly inside that hull.  Inversion about p keeps each ray
-    from p, so every open half-plane bounded by a line through p holds a
-    site: p is interior."""
+    virtual insertion, and the hull corners if p is not interior; _place
+    raises if p is a site.  Unless allow_exterior is None, p snaps over
+    its first ring block or, in _place, its cycle, and is _refused by the
+    mesh's kind, or by its _side before a ring batch with reach None and
+    before a fourth, which would count a miss.  _lune_angles pulls no
+    more once every corner edge of the images' hull is _clear_of the
+    1/reach disk (NaN never is): the origin is then strictly inside that
+    hull.  Inversion about p keeps each ray from p, so every open
+    half-plane bounded by a line through p holds a site: p is interior."""
     refusing = snap = allow_exterior is not None
     if samples._mesh is None:
         rings = _rings(samples, p)
@@ -289,9 +289,7 @@ def _candidates(samples: SampleSet, p: Point, allow_exterior: Optional[bool] = N
             yield from rings
         from .delaunay import build_delaunay
         samples._mesh = build_delaunay(samples)
-    kind, i, _, cycle = samples._mesh._place(p, snap)
-    if i is not None:
-        raise CoincidentQueryError("query coincides with site %d" % i, i)
+    kind, _, cycle = samples._mesh._place(p, snap)
     if refusing:
         _refuse(kind, allow_exterior)
     # A lune neighbour q has a circle through p and q with every other site

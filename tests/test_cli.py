@@ -100,8 +100,10 @@ def test_usage_errors(square, capsys):
     assert main(["bogus"]) == 1
     assert main(["eval", "--samples", square]) == 1
     assert main(["eval", "--samples", square, "--at", "zzz"]) == 1
+    assert main(["eval", "--samples", square, "--at", "a,1"]) == 1
     assert main(["eval", "--samples", square, "--at", "0,0", "--weight-fn", "nope"]) == 1
     assert main(["grid", "--samples", square, "--grid", "1,2,3", "--out", "x.pgm"]) == 1
+    assert main(["grid", "--samples", square, "--grid", "0,1,0,1,x,4", "--out", "x.pgm"]) == 1
     # An empty list is one empty field, which int() rejects.
     assert main(["experiment", "harmonic", "--seed", "1", "--out", "h.csv", "--sizes", ""]) == 1
 

@@ -14,7 +14,7 @@ from lunenn.experiments import (
     invariance_trial,
 )
 from lunenn.geometry import Circle, Point
-from lunenn.moebius import IDENTITY, moebius_from_inversion
+from lunenn.moebius import IDENTITY, MoebiusMap, moebius_from_inversion
 
 
 def test_harmonic_functions_satisfy_mean_value_property():
@@ -60,6 +60,15 @@ def test_invariance_trial_pure_inversion():
     deviation, mismatch = invariance_trial(samples, (0.1, 0.2), m)
     assert deviation <= 1e-8
     assert mismatch <= 1e-8
+
+
+def test_invariance_trial_refuses_a_map_with_its_pole_on_a_site_or_the_query():
+    samples = SampleSet([(-1, -1), (1, -1), (1, 1), (-1, 1)], [1.0, 2.0, 3.0, 4.0])
+    # w -> 1 / (w - pole) sends the pole to infinity.
+    with pytest.raises(PreconditionError, match="site to infinity"):
+        invariance_trial(samples, (0.1, 0.2), MoebiusMap(0, 1, 1, 1 + 1j))
+    with pytest.raises(PreconditionError, match="query to infinity"):
+        invariance_trial(samples, (0.1, 0.2), MoebiusMap(0, 1, 1, -0.1 - 0.2j))
 
 
 def test_experiment_invariance_report():

@@ -100,6 +100,16 @@ def test_load_crlf(tmp_path):
     assert load_samples_csv(path).size == 4
 
 
+def test_load_byte_order_mark(tmp_path):
+    # Spreadsheet programs often save UTF-8 CSVs with a leading BOM.
+    plain = load_samples_csv(_write(tmp_path, "sq.csv", SQUARE_CSV))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(SQUARE_CSV.encode("utf-8-sig"))
+    marked = load_samples_csv(path)
+    assert marked.sites == plain.sites
+    assert marked.elevations == plain.elevations
+
+
 def test_grid_spec_validation():
     with pytest.raises(DegenerateInputError):
         GridSpec(0, 0, 0, 1, 2, 2)

@@ -23,6 +23,7 @@ def test_invert_unit_circle_cases():
     assert moebius_apply(unit, Point(2, 0)) == Point(0.5, 0)
     assert moebius_apply(unit, Point(0, 1)) == Point(0, 1)
     assert is_infinite(moebius_apply(unit, Point(0, 0)))
+    assert repr(AT_INFINITY) == "AT_INFINITY"
 
 
 def test_invert_off_center_circle():

@@ -1026,15 +1026,24 @@ def _interpolated(samples, s, allow_exterior):
 
 @pytest.mark.parametrize("allow_exterior", [False, True])
 def test_a_meshed_set_classifies_and_interpolates_as_a_fresh_one(allow_exterior):
-    # The mesh's one placement serves interpolate and sibson_interpolate alike.
+    # The mesh's one placement serves interpolate and sibson_interpolate
+    # alike: it raises on a site, exact or snapped, and names the kind of
+    # any other query.
     meshed = SampleSet(PLACEMENT_SITES, PLACEMENT_Z)
     tri = meshed._mesh = build_delaunay(meshed)
-    kinds = set()
-    for s in PLACEMENT_QUERIES:
+    kinds, exact = set(), set()
+    for s in [*PLACEMENT_QUERIES, PLACEMENT_SITES[4]]:
         fresh = SampleSet(PLACEMENT_SITES, PLACEMENT_Z)
         cls = classify_query(fresh, s)
         kinds.add(cls.kind)
-        assert tri._place(meshed._frame(s), True)[:2] == (cls.kind, cls.site_index), s
+        p = meshed._frame(s)
+        if cls.kind is QueryKind.COINCIDENT:
+            exact.add(p in meshed._index)
+            with pytest.raises(CoincidentQueryError) as raised:
+                tri._place(p, True)
+            assert raised.value.site_index == cls.site_index, s
+        else:
+            assert tri._place(p, True)[0] is cls.kind, s
         assert _interpolated(meshed, s, allow_exterior) == _interpolated(fresh, s, allow_exterior), s
         assert fresh._mesh is None
         if cls.kind is QueryKind.COINCIDENT:
@@ -1045,6 +1054,7 @@ def test_a_meshed_set_classifies_and_interpolates_as_a_fresh_one(allow_exterior)
             with pytest.raises(OutsideDomainError):
                 sibson_interpolate(tri, PLACEMENT_Z, s)
     assert kinds == set(QueryKind)
+    assert exact == {False, True}
 
 
 def test_a_meshed_set_places_each_interpolate_query_once(monkeypatch):

@@ -160,6 +160,8 @@ def test_degenerate_coefficients_rejected():
         MoebiusMap(1, 2, 2, 4)
     with pytest.raises(DegenerateInputError):
         MoebiusMap(0, 0, 0, 0)
+    with pytest.raises(DegenerateInputError, match="finite"):
+        MoebiusMap(1, float("nan"), 0, 1)
 
 
 def _map_circle(m, circle):
