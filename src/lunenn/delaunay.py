@@ -12,14 +12,14 @@ triangles per insertion.  The order only steers the walks.  A query
 jumps to a site in its cell of that grid, clamped onto it, and walks
 from a triangle there (Muecke, Saias & Zhu 1996), a few triangles at any
 n.  Queries write nothing, so after the build the mesh is read-only.
-The walk and the cavity search run the float filters of predicates in
-line, with its constants, and go exact only where a filter cannot
+Only the cavity search runs a float filter of predicates in line, the
+in-circle one with its constants, and goes exact only where it cannot
 decide.  Cocircular ties are broken by a symbolic perturbation that treats
 lower-indexed sites as infinitesimally lifted, which makes the result
 independent of insertion order.  A triangle's vertex order is fixed when
 it is created; the fan of an insertion reuses the slots of the cavity it
-replaces, and nothing renumbers the rest.  The public views are sorted
-copies, built once after the last insertion.
+replaces, and nothing renumbers the rest.  The public view, triangles,
+is a sorted copy built once after the last insertion.
 
 Virtual insertion computes the cavity and fan a query point would create
 without mutating the mesh, and alone places a mesh query: the walk finds
@@ -43,7 +43,7 @@ from . import predicates
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, _circumcenter
 from .interpolate import LuneAngleSet, QueryKind, SampleSet, WeightVector, _blend, _elevation, _finite_point, _snap
-from .predicates import _INCIRCLE_BOUND, _INCIRCLE_FLOOR, _ORIENT_BOUND, orientation_sign
+from .predicates import _INCIRCLE_BOUND, _INCIRCLE_FLOOR, orientation_sign
 
 GHOST = -1
 
@@ -124,8 +124,7 @@ class Triangulation:
     smallest in slot 0, set at creation; _nbrs[t][e] lies across edge e
     (vertex e to e + 1).  Every slot holds a live triangle.  The ghosts are
     the hull, kept nowhere else: ghost vs is hull edge vs[1] -> vs[0].  The
-    public views are sorted copies, built once: triangles, the finite ones,
-    and neighbors[i][e], an index into triangles or None on the hull.
+    public view triangles, built once, lists the finite ones sorted.
     _incident[i] is a finite triangle at site i, where walks start.  _xs
     and _ys list the framed coordinates: indexing them beats unpacking a Point."""
 
@@ -183,11 +182,8 @@ class Triangulation:
         """Walk toward p from the finite triangle t; on a Delaunay
         triangulation the walk terminates (Devillers, Pion & Teillaud 2002).
         Returns a finite triangle whose closed interior holds p, or a ghost
-        once the walk leaves the hull.  The orientation float filter of
-        predicates runs in line, with its bound; orientation_sign decides
-        only what the filter leaves."""
-        verts, nbrs, xs, ys = self._verts, self._nbrs, self._xs, self._ys
-        px, py = p
+        once the walk leaves the hull.  orientation_sign decides each step."""
+        verts, nbrs, pts = self._verts, self._nbrs, self._pts
         came_from = -1
         for _ in range(4 * len(verts) + 16):
             vs = verts[t]
@@ -195,18 +191,7 @@ class Triangulation:
                 return t
             for e in (0, 1, 2):
                 nb = nbrs[t][e]
-                if nb == came_from:
-                    continue
-                a, b = vs[e], vs[e - 2]
-                ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
-                detleft = (bx - ax) * (py - ay)
-                detright = (by - ay) * (px - ax)
-                det = detleft - detright
-                if abs(det) > _ORIENT_BOUND * (abs(detleft) + abs(detright)):
-                    right = det < 0
-                else:
-                    right = orientation_sign((ax, ay), (bx, by), p) < 0
-                if right:
+                if nb != came_from and orientation_sign(pts[vs[e]], pts[vs[e - 2]], p) < 0:
                     came_from = t
                     t = nb
                     break
@@ -316,12 +301,7 @@ class Triangulation:
             (t for t, vs in enumerate(verts) if vs[2] != GHOST),
             key=verts.__getitem__,
         )
-        # A ghost's position stays None: no view holds it.
-        position = [None] * len(verts)
-        for i, t in enumerate(finite):
-            position[t] = i
         self.triangles = tuple([verts[t] for t in finite])
-        self.neighbors = tuple([tuple(map(position.__getitem__, self._nbrs[t])) for t in finite])
         # Every site is a vertex of some finite triangle; each takes its first.
         incident = self._incident = [None] * len(self._pts)
         for t in reversed(finite):

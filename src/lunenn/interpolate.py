@@ -44,18 +44,26 @@ _PI_WINDOW = 1e-12
 
 def _finite(value, message) -> float:
     """float(value), raising DegenerateInputError(message) unless it is
-    finite; an int too large for a float counts as infinite."""
+    finite; an int too large for a float counts as infinite, and a value
+    float() rejects raises DegenerateInputError naming it."""
     try:
         x = float(value)
     except OverflowError:
         x = math.inf
+    except (TypeError, ValueError):
+        raise DegenerateInputError("%s, not %r" % (message, value)) from None
     if not math.isfinite(x):
         raise DegenerateInputError(message)
     return x
 
 
 def _finite_point(p, message) -> Point:
-    return Point(_finite(p[0], message), _finite(p[1], message))
+    """p as a Point of finite floats: x is checked before y converts."""
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise DegenerateInputError("points must have two coordinates, not %r" % (p,)) from None
+    return Point(_finite(x, message), _finite(y, message))
 
 
 def _elevation(z):
@@ -71,9 +79,7 @@ class SampleSet:
     and the mesh the set grows lazily, each on first use."""
 
     def __init__(self, sites, elevations):
-        message = "site coordinates must be finite"
-        # Point's arguments run left to right: x is checked before y converts.
-        pts = [Point(_finite(p[0], message), _finite(p[1], message)) for p in sites]
+        pts = [_finite_point(p, "site coordinates must be finite") for p in sites]
         if len(pts) != len(elevations):
             raise DegenerateInputError(
                 "%d sites but %d elevations" % (len(pts), len(elevations))

@@ -66,10 +66,17 @@ def _random_interior_query(rng, samples):
             return s
 
 
+def _neighbors(triangles):
+    """neighbors[i][e]: the index of the triangle across edge e (vertex e to
+    e + 1) of triangles[i], or None on the hull."""
+    across = {(vs[e], vs[e - 2]): i for i, vs in enumerate(triangles) for e in range(3)}
+    return tuple(tuple(across.get((vs[e - 2], vs[e])) for e in range(3)) for vs in triangles)
+
+
 def _check_structure(samples, tri):
     sites = samples.sites
     triangles = tri.triangles
-    neighbors = tri.neighbors
+    neighbors = _neighbors(triangles)
     # CCW orientation and the empty-circumcircle property by brute force.
     for (a, b, c) in triangles:
         assert orientation_sign(sites[a], sites[b], sites[c]) == 1
@@ -89,6 +96,11 @@ def _check_structure(samples, tri):
                 triangles[other][back],
                 triangles[other][(back + 1) % 3],
             }
+    # The kernel's own adjacency says the same; across a hull edge lies a ghost.
+    position = {vs: i for i, vs in enumerate(triangles)}
+    for t, vs in enumerate(tri._verts):
+        if vs[2] != GHOST:
+            assert tuple(position.get(tri._verts[nb]) for nb in tri._nbrs[t]) == neighbors[position[vs]]
     # Euler relation with h = points on the hull boundary: corners, and
     # points on the line of a hull edge, which lie on that edge.
     hull = convex_hull(sites)
@@ -132,7 +144,7 @@ def test_square_diagonal_deterministic():
     for _ in range(3):
         again = build_delaunay(_square())
         assert again.triangles == first.triangles
-        assert again.neighbors == first.neighbors
+        assert again._nbrs == first._nbrs
     _check_structure(_square(), first)
 
 
@@ -168,7 +180,7 @@ def test_build_deterministic():
     a = build_delaunay(samples)
     b = build_delaunay(samples)
     assert a.triangles == b.triangles
-    assert a.neighbors == b.neighbors
+    assert a._nbrs == b._nbrs
 
 
 def test_brio_order_is_a_fixed_permutation():
@@ -195,8 +207,7 @@ def test_brio_order_is_a_fixed_permutation():
 def test_build_walks_a_few_triangles_per_site(monkeypatch):
     # In input order the walk crosses O(sqrt n) triangles per insertion
     # (about 50 orientation tests a site at n = 2000); BRIO rounds along
-    # the snake of the grid cells take about 9.  The walk runs the float
-    # filter in line; an infinite bound sends every test to
+    # the snake of the grid cells take about 9.  Every walk step calls
     # orientation_sign, so the count sees them all.
     calls = []
 
@@ -205,7 +216,6 @@ def test_build_walks_a_few_triangles_per_site(monkeypatch):
         return orientation_sign(p, q, r)
 
     monkeypatch.setattr(delaunay, "orientation_sign", counting)
-    monkeypatch.setattr(delaunay, "_ORIENT_BOUND", math.inf)
     rng = random.Random(233)
     sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2000)]
     build_delaunay(SampleSet(sites, [0.0] * len(sites)))
@@ -227,7 +237,6 @@ def test_sibson_queries_walk_a_few_triangles(monkeypatch):
         return orientation_sign(p, q, r)
 
     monkeypatch.setattr(delaunay, "orientation_sign", counting)
-    monkeypatch.setattr(delaunay, "_ORIENT_BOUND", math.inf)
     queries = 200
     for _ in range(queries):
         sibson_interpolate(tri, samples.elevations, (rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)))
@@ -256,8 +265,8 @@ def _filter_corpus():
 
 
 def test_inline_filters_change_no_decision(monkeypatch):
-    # The walk and the cavity search run the float filters in line.  With
-    # infinite bounds every test takes the exact route; the mesh and the
+    # The cavity search runs the in-circle float filter in line.  With an
+    # infinite bound every test takes the exact route; the mesh and the
     # Sibson weights must not change.  The lattice's close calls must reach
     # predicates._incircle_exact, where the exact counts are read.
     incircle_exact = predicates._incircle_exact
@@ -276,12 +285,11 @@ def test_inline_filters_change_no_decision(monkeypatch):
         tri = build_delaunay(samples)
         if name == "lattice":
             assert exact
-        shipped = (tri.triangles, tri.neighbors, [sibson_weights(tri, q) for q in queries])
+        shipped = (tri.triangles, _neighbors(tri.triangles), [sibson_weights(tri, q) for q in queries])
         with monkeypatch.context() as patch:
-            patch.setattr(delaunay, "_ORIENT_BOUND", math.inf)
             patch.setattr(delaunay, "_INCIRCLE_BOUND", math.inf)
             tri = build_delaunay(samples)
-            assert (tri.triangles, tri.neighbors, [sibson_weights(tri, q) for q in queries]) == shipped
+            assert (tri.triangles, _neighbors(tri.triangles), [sibson_weights(tri, q) for q in queries]) == shipped
 
 
 def test_walks_from_past_a_corner_start_in_the_clamped_corner_cell():
@@ -332,7 +340,7 @@ def test_build_across_the_double_range():
         scaled = SampleSet([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in sites], [0.0] * len(sites))
         ref = build_delaunay(scaled)
         _check_structure(scaled, ref)
-        assert (tri.triangles, tri.neighbors) == (ref.triangles, ref.neighbors)
+        assert (tri.triangles, _neighbors(tri.triangles)) == (ref.triangles, _neighbors(ref.triangles))
 
 
 def test_sibson_work_never_hulls_the_sites(monkeypatch):
@@ -381,14 +389,14 @@ def test_queries_do_not_mutate():
     rng = random.Random(227)
     samples = _random_samples(rng, n=25)
     tri = build_delaunay(samples)
-    before = (tri.triangles, tri.neighbors)
+    before = (tri.triangles, copy.deepcopy(tri._nbrs))
     for _ in range(10):
         s = _random_interior_query(rng, samples)
         lune_angles_oracle(tri, s)
         sibson_weights(tri, s)
     for i in range(samples.size):
         voronoi_cell_polygon(tri, i)
-    assert (tri.triangles, tri.neighbors) == before
+    assert (tri.triangles, tri._nbrs) == before
 
 
 def _outcome(call):
@@ -915,9 +923,9 @@ _LIBRARY_ERRORS = tuple(
 def test_broken_orientation_raises_a_library_error(monkeypatch, lie):
     # A mesh invariant broken by a lying predicate surfaces as an error
     # from lunenn.errors, never as AssertionError, IndexError or KeyError.
-    # Infinite filter bounds send every walk and cavity decision to the
-    # exact route, so the liar decides each orientation the mesh asks for.
-    monkeypatch.setattr(delaunay, "_ORIENT_BOUND", math.inf)
+    # The walk asks orientation_sign at every step, and an infinite filter
+    # bound sends every cavity decision to the exact route, so the liar
+    # decides each orientation the mesh asks for.
     monkeypatch.setattr(delaunay, "_INCIRCLE_BOUND", math.inf)
     rng = random.Random(241)
     liar = {
@@ -978,7 +986,7 @@ def test_mesh_views_digest():
     digest = hashlib.sha256()
     for sites in _mesh_views_corpus():
         tri = build_delaunay(SampleSet(sites, [0.0] * len(sites)))
-        digest.update(repr((tri.triangles, tri.neighbors)).encode())
+        digest.update(repr((tri.triangles, _neighbors(tri.triangles))).encode())
         for i in range(len(sites)):
             cell = voronoi_cell_polygon(tri, i)
             points = cell.vertices if cell.bounded else cell.ray_directions

@@ -305,6 +305,29 @@ def test_int_too_large_for_a_float_is_a_domain_error():
         SampleSet([(0, 0), (1, 0), (0, 1)], [0.0, -huge, 0.0])
 
 
+#: Each entry point fed a point that does not unpack into two coordinates,
+#: or a coordinate or an elevation that float() rejects.
+_MALFORMED_CALLS = {
+    "SampleSet": lambda bad: SampleSet(SQUARE_SITES[:3] + [bad], SQUARE_Z),
+    "interpolate": lambda bad: interpolate(_square(), bad),
+    "lune_angles": lambda bad: lune_angles(_square(), bad),
+    "sibson_interpolate": lambda bad: sibson_interpolate(build_delaunay(_square()), SQUARE_Z, bad),
+    "SampleSet-elevation": lambda bad: SampleSet(SQUARE_SITES, [10.0, bad, 30.0, 40.0]),
+    "sibson_interpolate-elevation": lambda bad: sibson_interpolate(build_delaunay(_square()), [10.0, bad, 30.0, 40.0], (0.1, 0.2)),
+}
+_MALFORMED = [
+    (entry, bad)
+    for entry in _MALFORMED_CALLS
+    for bad in ([None, "x", [1.0]] if entry.endswith("elevation") else [(0.3,), (0.3, 0.4, 123), 5, None, "ab", (None, 0.4), (0.3, "x"), (0.3, 1j)])
+]
+
+
+@pytest.mark.parametrize("entry, bad", _MALFORMED, ids=["%s-%r" % case for case in _MALFORMED])
+def test_malformed_input_is_a_domain_error(entry, bad):
+    with pytest.raises(DegenerateInputError, match="two coordinates|must be finite, not"):
+        _MALFORMED_CALLS[entry](bad)
+
+
 def test_repro_values_do_not_depend_on_the_scale():
     # Unframed, the squares underflow at 1e-300 and 1e-200 (every query
     # would snap to a site), the turning angles overflow at 1e-160 and the
@@ -679,6 +702,58 @@ def test_invariance_under_random_maps():
         ms = moebius_apply(m, Point(*s))
         value = interpolate(mapped, ms, allow_exterior=True)
         assert abs(value - base) <= 1e-8 * max(1.0, abs(base))
+
+
+#: Maps of the plane that take every difference site - query to its image
+#: exactly; a translation does so only for sites and queries with few bits.
+_SYMMETRIES = {
+    "quarter turn": lambda x, y: (-y, x),
+    "reflection": lambda x, y: (-x, y),
+    "x-y swap": lambda x, y: (y, x),
+    "translation": lambda x, y: (x + 5.75, y - 3.5),
+}
+
+
+def _symmetry_corpus(rng):
+    # (name, sites, query box): uniform sites, a cocircular lattice, and
+    # sites on a dyadic grid of step 2**-20.
+    yield "uniform", [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(300)], (-2, 2)
+    yield "lattice", [(float(x), float(y)) for x in range(13) for y in range(13)], (-3, 15)
+    dyadic = [(rng.randint(-2**20, 2**20) / 2**20, rng.randint(-2**20, 2**20) / 2**20) for _ in range(300)]
+    yield "dyadic", list(dict.fromkeys(dyadic)), (-2, 2)
+
+
+def _interpolated_bits(sites, z, queries, meshed):
+    samples = SampleSet(sites, z)
+    if meshed:
+        samples._mesh = build_delaunay(samples)
+    out = []
+    for q in queries:
+        # Unless meshed, each query is answered by its rings, as a fresh set's first miss is.
+        samples._misses = 0
+        out.append(_bits(lambda: interpolate(samples, q, allow_exterior=True)))
+    return out
+
+
+@pytest.mark.parametrize("meshed", [False, True], ids=["fresh", "meshed"])
+def test_interpolate_keeps_the_plane_symmetries_bit_for_bit(meshed):
+    # Permuting the sites, and each map of _SYMMETRIES applied to sites and
+    # queries alike, give the same bits: by the rings of a set without a
+    # mesh and by the mesh.  The queries lie on a dyadic grid of step
+    # 2**-12, over a box a quarter or more wider than the sites' on each side.
+    rng = random.Random(433)
+    for name, sites, (lo, hi) in _symmetry_corpus(rng):
+        z = [rng.uniform(-1, 1) for _ in sites]
+        queries = [(rng.randint(lo * 4096, hi * 4096) / 4096, rng.randint(lo * 4096, hi * 4096) / 4096) for _ in range(150)]
+        order = list(range(len(sites)))
+        rng.shuffle(order)
+        variants = {"permutation": ([sites[i] for i in order], [z[i] for i in order], queries)}
+        for symmetry, f in _SYMMETRIES.items():
+            if symmetry != "translation" or name != "uniform":
+                variants[symmetry] = ([f(*p) for p in sites], z, [f(*q) for q in queries])
+        expected = _interpolated_bits(sites, z, queries, meshed)
+        for symmetry, variant in variants.items():
+            assert _interpolated_bits(*variant, meshed) == expected, (name, symmetry)
 
 
 # ------------------------------------------------------------ output digest
