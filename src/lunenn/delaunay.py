@@ -12,13 +12,12 @@ triangles per insertion.  The order only steers the walks.  A query
 jumps to a site in its cell of that grid, clamped onto it, and walks
 from a triangle there (Muecke, Saias & Zhu 1996), a few triangles at any
 n.  Queries write nothing, so after the build the mesh is read-only.
-Only the cavity search runs a float filter of predicates in line, the
-in-circle one with its constants, and goes exact only where it cannot
-decide.  Cocircular ties are broken by a symbolic perturbation that treats
-lower-indexed sites as infinitesimally lifted, which makes the result
-independent of insertion order.  A triangle's vertex order is fixed when
-it is created; the fan of an insertion reuses the slots of the cavity it
-replaces, and nothing renumbers the rest.  The public view, triangles,
+Each orientation and in-circle test calls the exact predicates on framed
+(x, y) pairs.  Cocircular ties are broken by a symbolic perturbation that
+treats lower-indexed sites as infinitesimally lifted, which makes the
+result independent of insertion order.  A triangle's vertex order is fixed
+when it is created; the fan of an insertion reuses the slots of the cavity
+it replaces, and nothing renumbers the rest.  The public view, triangles,
 is a sorted copy built once after the last insertion.
 
 Virtual insertion computes the cavity and fan a query point would create
@@ -39,11 +38,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from . import predicates
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, _circumcenter
 from .interpolate import LuneAngleSet, QueryKind, SampleSet, WeightVector, _blend, _elevation, _finite_point, _snap
-from .predicates import _INCIRCLE_BOUND, _INCIRCLE_FLOOR, orientation_sign
+from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
 
@@ -70,13 +68,10 @@ def _brio_order(samples: SampleSet) -> list:
 
 def _perturbed_in_disk(pa, pb, pc, pt, ia, ib, ic, it) -> bool:
     """True iff t lies inside the circumdisk of CCW triangle abc after the
-    symbolic perturbation, for a close call the float filter left: the
-    exact sign decides.  On a cocircular tie the lowest-indexed point
-    decides: its term in the lifted determinant is the orientation of the
-    other three points, with alternating sign by row."""
-    raw = predicates._incircle_exact(pa, pb, pc, pt)
-    if raw != 0:
-        return raw > 0
+    symbolic perturbation, for four points the exact in-circle sign finds
+    cocircular: the lowest-indexed point decides.  Its term in the lifted
+    determinant is the orientation of the other three points, with
+    alternating sign by row."""
     terms = sorted(
         (
             (ia, -1, pb, pc, pt),
@@ -125,13 +120,12 @@ class Triangulation:
     (vertex e to e + 1).  Every slot holds a live triangle.  The ghosts are
     the hull, kept nowhere else: ghost vs is hull edge vs[1] -> vs[0].  The
     public view triangles, built once, lists the finite ones sorted.
-    _incident[i] is a finite triangle at site i, where walks start.  _xs
-    and _ys list the framed coordinates: indexing them beats unpacking a Point."""
+    _incident[i] is a finite triangle at site i, where walks start.  _pts
+    is the set's framed (x, y) pairs, read in place."""
 
     def __init__(self, samples: SampleSet):
         self._samples = samples
         self._pts = samples._unit
-        self._xs, self._ys = [p.x for p in self._pts], [p.y for p in self._pts]
         self._build(_brio_order(samples))
         self._finalize()
 
@@ -204,11 +198,10 @@ class Triangulation:
         depth-first search from seed, and the boundary edges (u, v, triangle
         outside, triangle inside) it meets, chained into the CCW cycle.  A
         ghost's disk is the open outer halfplane of its hull edge plus the
-        open edge.  On a finite triangle the in-circle float filter of
-        predicates runs in line, with its bound and floor; only the close
-        calls it leaves go exact, through the symbolic perturbation."""
-        verts, nbrs, pts, xs, ys = self._verts, self._nbrs, self._pts, self._xs, self._ys
-        px, py = p
+        open edge.  A finite triangle's disk is decided by
+        incircle_sign_unchecked, and only an exact cocircular 0 by the
+        symbolic perturbation."""
+        verts, nbrs, pts = self._verts, self._nbrs, self._pts
         cavity, nxt, stack = set(), {}, []
         # The seed is reached from no triangle.  p is no vertex, so a finite
         # seed holds it strictly inside its circumdisk and a ghost seed
@@ -225,18 +218,8 @@ class Triangulation:
                     holds = side < 0 or side == 0 and _strictly_between(a, b, p)
                 else:
                     ia, ib, ic = vs
-                    adx, ady, bdx, bdy = xs[ia] - px, ys[ia] - py, xs[ib] - px, ys[ib] - py
-                    cdx, cdy = xs[ic] - px, ys[ic] - py
-                    bdxcdy, cdxbdy, alift = bdx * cdy, cdx * bdy, adx * adx + ady * ady
-                    cdxady, adxcdy, blift = cdx * ady, adx * cdy, bdx * bdx + bdy * bdy
-                    adxbdy, bdxady, clift = adx * bdy, bdx * ady, cdx * cdx + cdy * cdy
-                    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
-                    permanent = (alift * (abs(bdxcdy) + abs(cdxbdy)) + blift * (abs(cdxady) + abs(adxcdy))
-                                 + clift * (abs(adxbdy) + abs(bdxady)))
-                    if abs(det) > _INCIRCLE_BOUND * permanent and permanent >= _INCIRCLE_FLOOR:
-                        holds = det > 0
-                    else:
-                        holds = _perturbed_in_disk(pts[ia], pts[ib], pts[ic], p, ia, ib, ic, pidx)
+                    sign = incircle_sign_unchecked(pts[ia], pts[ib], pts[ic], p)
+                    holds = sign > 0 if sign else _perturbed_in_disk(pts[ia], pts[ib], pts[ic], p, ia, ib, ic, pidx)
                 if holds:
                     cavity.add(t)
                     stack.append(t)
@@ -324,8 +307,8 @@ class Triangulation:
             x0, y0, _, _ = self._samples._box
             size, cols, rows, cells = self._samples._buckets
             # Clamped in float: floor() of a quotient near 2**1000 overflows.
-            c = math.floor(min(max((p.x - x0) / size, 0.0), cols - 1.0))
-            r = math.floor(min(max((p.y - y0) / size, 0.0), rows - 1.0))
+            c = math.floor(min(max((p[0] - x0) / size, 0.0), cols - 1.0))
+            r = math.floor(min(max((p[1] - y0) / size, 0.0), rows - 1.0))
             near = (cells.get((c, r)) or cells.get((c - 1, r)) or cells.get((c + 1, r))
                     or cells.get((c, r - 1)) or cells.get((c, r + 1)))
             if not near:
@@ -337,7 +320,7 @@ class Triangulation:
             # Every site nearest to p borders the cavity: the circle on
             # diameter p-q holds no other site.
             if snap:
-                i = _snap(self._samples, p.x, p.y, (u for u, _, _, _ in cycle if u != GHOST))
+                i = _snap(self._samples, *p, (u for u, _, _, _ in cycle if u != GHOST))
         if i is not None:
             raise CoincidentQueryError("query coincides with site %d" % i, i)
         ghosts = [self._verts[t] for t in cavity if self._verts[t][2] == GHOST]
@@ -366,8 +349,8 @@ class Triangulation:
         centers = [_circumcenter(p, self._pts[u], self._pts[v]) for u, v, _, _ in cycle]
         entries = []
         for j, (u, _, _, _) in enumerate(cycle):
-            ux, uy = p.x - centers[j - 1][0], p.y - centers[j - 1][1]
-            vx, vy = p.x - centers[j][0], p.y - centers[j][1]
+            ux, uy = p[0] - centers[j - 1][0], p[1] - centers[j - 1][1]
+            vx, vy = p[0] - centers[j][0], p[1] - centers[j][1]
             entries.append((u, math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)))
         if not all(math.isfinite(theta) for _, theta in entries):
             raise DegenerateInputError("lune angles left the float range")
@@ -424,7 +407,7 @@ class Triangulation:
             if vs[2] == GHOST:
                 # Edge vs[1] -> vs[0] enters the site in slot 0.
                 a, b = self._pts[vs[1]], self._pts[vs[0]]
-                ex, ey = b.x - a.x, b.y - a.y
+                ex, ey = b[0] - a[0], b[1] - a[1]
                 norm = math.hypot(ex, ey)
                 rays[slot] = Point(ey / norm, -ex / norm)
             else:
@@ -437,7 +420,7 @@ class Triangulation:
         centers = [_circumcenter(*(self._pts[v] for v in vs)) for vs in ring]
         scale = 2.0 ** self._samples._e
         vertices = (_finite_point((c[0] * scale, c[1] * scale), "Voronoi vertex left the float range") for c in centers)
-        return VoronoiCell(site_index, tuple(vertices), None)
+        return VoronoiCell(site_index, tuple(map(Point._make, vertices)), None)
 
 
 def build_delaunay(samples: SampleSet) -> Triangulation:
@@ -458,8 +441,8 @@ def sibson_interpolate(tri: Triangulation, elevations, s):
     exactly up to roundoff.  A query that snaps to a site returns that
     site's elevation, as interpolate does.  Only the elevations the query
     reads are checked: a non-finite one raises DegenerateInputError."""
-    if len(elevations) != len(tri.samples.sites):
-        raise DegenerateInputError("one elevation per site required")
+    if not hasattr(elevations, "__len__") or len(elevations) != tri.samples.size:
+        raise DegenerateInputError("elevations must be a sequence of one per site")
     try:
         value = _blend(tri.sibson_weights(s), elevations)
     except CoincidentQueryError as exc:

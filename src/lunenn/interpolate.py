@@ -29,7 +29,7 @@ from functools import cached_property
 from enum import Enum
 from typing import Optional
 
-from .errors import CoincidentQueryError, DegenerateBoundaryError, DegenerateInputError, OutsideDomainError
+from .errors import CoincidentQueryError, DegenerateBoundaryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point
 from .hull import convex_hull, turning_angles
 from .predicates import incircle_sign_unchecked, orientation_sign
@@ -57,13 +57,13 @@ def _finite(value, message) -> float:
     return x
 
 
-def _finite_point(p, message) -> Point:
-    """p as a Point of finite floats: x is checked before y converts."""
+def _finite_point(p, message) -> tuple:
+    """p as an (x, y) pair of finite floats: x is checked before y converts."""
     try:
         x, y = p
     except (TypeError, ValueError):
         raise DegenerateInputError("points must have two coordinates, not %r" % (p,)) from None
-    return Point(_finite(x, message), _finite(y, message))
+    return _finite(x, message), _finite(y, message)
 
 
 def _elevation(z):
@@ -79,14 +79,16 @@ class SampleSet:
     and the mesh the set grows lazily, each on first use."""
 
     def __init__(self, sites, elevations):
-        pts = [_finite_point(p, "site coordinates must be finite") for p in sites]
-        if len(pts) != len(elevations):
-            raise DegenerateInputError(
-                "%d sites but %d elevations" % (len(pts), len(elevations))
-            )
+        try:
+            pts = [_finite_point(p, "site coordinates must be finite") for p in sites]
+            count = len(elevations)
+        except TypeError:
+            raise DegenerateInputError("sites and elevations must be sequences") from None
+        if len(pts) != count:
+            raise DegenerateInputError("%d sites but %d elevations" % (len(pts), count))
         if len(pts) < 3:
             raise DegenerateInputError("need at least three sites")
-        xs, ys = [p.x for p in pts], [p.y for p in pts]
+        xs, ys = [x for x, _ in pts], [y for _, y in pts]
         x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
         self._diagonal = math.hypot(x1 - x0, y1 - y0)
         # Every geometric step runs on the sites times 2**-e, e the least shift
@@ -94,8 +96,8 @@ class SampleSet:
         m = math.frexp(max(-x0, -y0, x1, y1))[1]
         e = self._e = max(m - 256, 0) + min(m + 256, 0)
         self._sites = tuple(pts)
-        self._unit = self._sites if e == 0 else tuple(Point(math.ldexp(p.x, -e), math.ldexp(p.y, -e)) for p in pts)
-        # Each framed Point's first index (an (x, y) tuple finds it too); fewer keys than sites: scan for the repeat.
+        self._unit = self._sites if e == 0 else tuple([(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in pts])
+        # Each framed pair's first index; fewer keys than sites: scan for the repeat.
         index = dict(zip(reversed(self._unit), range(len(pts) - 1, -1, -1)))
         for i, p in enumerate(self._unit if len(index) < len(pts) else ()):
             j = index[p]
@@ -113,9 +115,9 @@ class SampleSet:
         # A Triangulation, which lune_angles builds on the second query that three ring blocks leave open.
         self._mesh, self._misses = None, 0
 
-    @property
+    @cached_property
     def sites(self):
-        return self._sites
+        return tuple([Point(x, y) for x, y in self._sites])
 
     @property
     def elevations(self):
@@ -134,12 +136,12 @@ class SampleSet:
     def diagonal(self) -> float:
         return self._diagonal
 
-    def _frame(self, s) -> Point:
-        """s as a Point of finite floats times 2**-e, where a coordinate stops at 2**1000, beyond every site."""
-        p = _finite_point(s, "query coordinates must be finite")
-        if self._e == 0 and abs(p.x) <= 2.0 ** 1000 and abs(p.y) <= 2.0 ** 1000:
+    def _frame(self, s) -> tuple:
+        """s as an (x, y) pair of finite floats times 2**-e, where a coordinate stops at 2**1000, beyond every site."""
+        x, y = p = _finite_point(s, "query coordinates must be finite")
+        if self._e == 0 and abs(x) <= 2.0 ** 1000 and abs(y) <= 2.0 ** 1000:
             return p
-        return Point(*(math.copysign(min(abs(t) * 2.0 ** -self._e, 2.0 ** 1000), t) for t in p))
+        return tuple([math.copysign(min(abs(t) * 2.0 ** -self._e, 2.0 ** 1000), t) for t in p])
 
     @cached_property
     def _buckets(self):
@@ -150,8 +152,8 @@ class SampleSet:
         x0, y0, w, h = self._box
         size = max(math.sqrt(2.0 * w * h / len(self._unit)), max(w, h) / len(self._unit))
         cells = {}
-        for i, p in enumerate(self._unit):
-            cells.setdefault((math.floor((p.x - x0) / size), math.floor((p.y - y0) / size)), []).append(i)
+        for i, (x, y) in enumerate(self._unit):
+            cells.setdefault((math.floor((x - x0) / size), math.floor((y - y0) / size)), []).append(i)
         return size, math.floor(w / size) + 1, math.floor(h / size) + 1, cells
 
 
@@ -235,21 +237,21 @@ def _snap(samples: SampleSet, sx: float, sy: float, candidates) -> Optional[int]
     sites = samples._unit
     best = best_d2 = None
     for i in candidates:
-        dx = sites[i].x - sx
-        dy = sites[i].y - sy
+        dx = sites[i][0] - sx
+        dy = sites[i][1] - sy
         d2 = dx * dx + dy * dy
         if best_d2 is None or d2 < best_d2 or (d2 == best_d2 and i < best):
             best, best_d2 = i, d2
     return best if best is not None and math.sqrt(best_d2) <= samples._snap_radius else None
 
 
-def _rings(samples: SampleSet, p: Point):
+def _rings(samples: SampleSet, p: tuple):
     """Yield the site indices first met in the blocks of 3x3, 5x5, 9x9, ...
     grid cells around the framed point p, each with a lower bound on the
     distance from p to every site not yet met (None once none is left)."""
     x0, y0, w, h = samples._box
     size, cols, rows, cells = samples._buckets
-    u, v = p.x - x0, p.y - y0
+    u, v = p[0] - x0, p[1] - y0
     c, r = (math.floor(min(max(t / size, -1.0), samples.size + 1.0)) for t in (u, v))
     done, k, met = -1, 1, 0
     while True:
@@ -263,7 +265,7 @@ def _rings(samples: SampleSet, p: Point):
         done, k = k, 2 * k
 
 
-def _candidates(samples: SampleSet, p: Point, allow_exterior: Optional[bool] = None):
+def _candidates(samples: SampleSet, p: tuple, allow_exterior: Optional[bool] = None):
     """Yield batches of (site indices, reach) of the framed point p:
     _rings up to its third block.  The set's first query that needs more
     goes on ring by ring; the second builds samples._mesh.  From then on
@@ -281,7 +283,7 @@ def _candidates(samples: SampleSet, p: Point, allow_exterior: Optional[bool] = N
     if samples._mesh is None:
         rings = _rings(samples, p)
         for new, reach in itertools.islice(rings, 3):
-            i = _snap(samples, p.x, p.y, new) if snap else None
+            i = _snap(samples, *p, new) if snap else None
             if i is not None:
                 raise CoincidentQueryError("query coincides with site %d" % i, i)
             if refusing and reach is None:
@@ -311,11 +313,11 @@ def classify_query(samples: SampleSet, s) -> QueryClass:
     place s exactly relative to the site hull, built on first use.
     interpolate hulls the sites only where its rings leave s unproven."""
     p = samples._frame(s)
-    best = _snap(samples, p.x, p.y, next(_rings(samples, p))[0])
+    best = _snap(samples, *p, next(_rings(samples, p))[0])
     return QueryClass(QueryKind.COINCIDENT, best) if best is not None else QueryClass(_side(samples, p))
 
 
-def _side(samples: SampleSet, p: Point) -> QueryKind:
+def _side(samples: SampleSet, p: tuple) -> QueryKind:
     """Where the framed point p lies relative to the site hull, exactly."""
     hull = [samples._unit[i] for i in samples.hull]
     side = min(orientation_sign(hull[k - 1], hull[k], p) for k in range(len(hull)))
@@ -330,22 +332,22 @@ def _refuse(kind: QueryKind, allow_exterior: bool) -> None:
         raise OutsideDomainError("query lies outside the sample hull")
 
 
-def _inverted_images(samples: SampleSet, p: Point, indices) -> dict:
-    images = {}
+def _inverted_images(samples: SampleSet, p: tuple, indices) -> dict:
+    images, sites, (px, py) = {}, samples._unit, p
     for i in sorted(indices):
-        dx, dy = samples._unit[i].x - p.x, samples._unit[i].y - p.y
+        dx, dy = sites[i][0] - px, sites[i][1] - py
         d2 = dx * dx + dy * dy
         if d2 == 0.0:
             raise CoincidentQueryError("query coincides with site %d" % i, i)
-        images[i] = Point(dx / d2, dy / d2)
+        images[i] = (dx / d2, dy / d2)
     return images
 
 
-def _clear_of(a: Point, b: Point, reach: float) -> bool:
+def _clear_of(a: tuple, b: tuple, reach: float) -> bool:
     """Whether the origin lies left of the line a->b, farther from it than
     1/reach, with a relative margin of 1e-9 on each side against rounding."""
-    cross = a.x * b.y - a.y * b.x - 1e-9 * (abs(a.x * b.y) + abs(a.y * b.x))
-    return cross * reach > (1.0 + 1e-9) * math.hypot(b.x - a.x, b.y - a.y)
+    cross = a[0] * b[1] - a[1] * b[0] - 1e-9 * (abs(a[0] * b[1]) + abs(a[1] * b[0]))
+    return cross * reach > (1.0 + 1e-9) * math.hypot(b[0] - a[0], b[1] - a[1])
 
 
 def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
@@ -365,7 +367,7 @@ def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
     return _lune_angles(samples, p, _candidates(samples, p))
 
 
-def _lune_angles(samples: SampleSet, p: Point, batches) -> LuneAngleSet:
+def _lune_angles(samples: SampleSet, p: tuple, batches) -> LuneAngleSet:
     """lune_angles of the framed point p, from batches of (site indices, reach)."""
     images = {}
     for new, reach in batches:
@@ -397,6 +399,8 @@ def weights_from_angles(angles: LuneAngleSet, weight_fn: WeightFunction = Weight
     functions a single angle within 1e-12 of pi takes all the weight;
     two angles that close to pi mean the query sits on the segment
     between two sites, which has no single-valued answer."""
+    if not isinstance(weight_fn, WeightFunction):
+        raise PreconditionError("weight_fn must be a WeightFunction, not %r" % (weight_fn,))
     near_pi = [i for i, (_, theta) in enumerate(angles.entries) if abs(theta - math.pi) <= _PI_WINDOW]
     if len(near_pi) >= 2:
         raise DegenerateBoundaryError("query lies on the segment between two sites")
@@ -414,6 +418,8 @@ def interpolate(samples: SampleSet, s, weight_fn: WeightFunction = WeightFunctio
     boundary queries fail; exterior queries fail unless allow_exterior
     is set, in which case the same construction is evaluated.
     _candidates snaps and classifies s as it names its candidates."""
+    if not isinstance(weight_fn, WeightFunction):
+        raise PreconditionError("weight_fn must be a WeightFunction, not %r" % (weight_fn,))
     p = samples._frame(s)
     try:
         angles = _lune_angles(samples, p, _candidates(samples, p, bool(allow_exterior)))

@@ -16,8 +16,8 @@ import math
 from .errors import DegenerateInputError
 
 # Half-ulp of an IEEE double; the filter constants absorb every rounding
-# step of the corresponding determinant evaluation.  The Delaunay cavity
-# search runs the in-circle evaluation in line with its constants.
+# step of the corresponding determinant evaluation.  Every caller, the
+# Delaunay walk and cavity search included, runs these two filters.
 _EPS = 2.0 ** -53
 _ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS

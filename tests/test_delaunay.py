@@ -265,10 +265,11 @@ def _filter_corpus():
 
 
 def test_inline_filters_change_no_decision(monkeypatch):
-    # The cavity search runs the in-circle float filter in line.  With an
-    # infinite bound every test takes the exact route; the mesh and the
-    # Sibson weights must not change.  The lattice's close calls must reach
-    # predicates._incircle_exact, where the exact counts are read.
+    # The cavity search calls the in-circle predicate.  With an infinite
+    # filter bound every test takes the exact route, which must fire on
+    # every set; the mesh and the Sibson weights must not change.  The
+    # lattice's close calls must reach predicates._incircle_exact, where
+    # the exact counts are read.
     incircle_exact = predicates._incircle_exact
     exact = []
 
@@ -287,8 +288,10 @@ def test_inline_filters_change_no_decision(monkeypatch):
             assert exact
         shipped = (tri.triangles, _neighbors(tri.triangles), [sibson_weights(tri, q) for q in queries])
         with monkeypatch.context() as patch:
-            patch.setattr(delaunay, "_INCIRCLE_BOUND", math.inf)
+            patch.setattr(predicates, "_INCIRCLE_BOUND", math.inf)
+            exact.clear()
             tri = build_delaunay(samples)
+            assert exact, name
             assert (tri.triangles, _neighbors(tri.triangles), [sibson_weights(tri, q) for q in queries]) == shipped
 
 
@@ -926,7 +929,7 @@ def test_broken_orientation_raises_a_library_error(monkeypatch, lie):
     # The walk asks orientation_sign at every step, and an infinite filter
     # bound sends every cavity decision to the exact route, so the liar
     # decides each orientation the mesh asks for.
-    monkeypatch.setattr(delaunay, "_INCIRCLE_BOUND", math.inf)
+    monkeypatch.setattr(predicates, "_INCIRCLE_BOUND", math.inf)
     rng = random.Random(241)
     liar = {
         "negative": lambda p, q, r: -1,

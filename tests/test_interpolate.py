@@ -22,6 +22,7 @@ from lunenn import (
     DegenerateInputError,
     LuneAngleSet,
     OutsideDomainError,
+    PreconditionError,
     SampleSet,
     WeightFunction,
     build_delaunay,
@@ -326,6 +327,33 @@ _MALFORMED = [
 def test_malformed_input_is_a_domain_error(entry, bad):
     with pytest.raises(DegenerateInputError, match="two coordinates|must be finite, not"):
         _MALFORMED_CALLS[entry](bad)
+
+
+#: Each entry point fed a site list, an elevation list or a weight function
+#: of the wrong type, with the error it must raise.
+_WRONG_TYPE_CALLS = {
+    "SampleSet-sites-None": (DegenerateInputError, lambda: SampleSet(None, [1, 2, 3])),
+    "SampleSet-sites-int": (DegenerateInputError, lambda: SampleSet(5, [1, 2, 3])),
+    "SampleSet-elevations-None": (DegenerateInputError, lambda: SampleSet(SQUARE_SITES, None)),
+    "SampleSet-elevations-int": (DegenerateInputError, lambda: SampleSet(SQUARE_SITES, 5)),
+    "sibson_interpolate-elevations-None": (
+        DegenerateInputError,
+        lambda: sibson_interpolate(build_delaunay(_square()), None, (0.1, 0.2)),
+    ),
+    "interpolate-weight_fn-str": (PreconditionError, lambda: interpolate(_square(), (0.1, 0.2), weight_fn="tan")),
+    "interpolate-weight_fn-coincident": (PreconditionError, lambda: interpolate(_square(), (1, 1), weight_fn=None)),
+    "weights_from_angles-weight_fn-None": (
+        PreconditionError,
+        lambda: weights_from_angles(lune_angles(_square(), (0.1, 0.2)), None),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(_WRONG_TYPE_CALLS))
+def test_wrong_argument_types_are_library_errors(entry):
+    error, call = _WRONG_TYPE_CALLS[entry]
+    with pytest.raises(error, match="must be (a |sequences)"):
+        call()
 
 
 def test_repro_values_do_not_depend_on_the_scale():
