@@ -23,12 +23,12 @@ is a sorted copy built once after the last insertion.
 Virtual insertion computes the cavity and fan a query point would create
 without mutating the mesh, and alone places a mesh query: the walk finds
 it, and the sites on the cavity cycle hold the nearest one for the snap
-and every lune neighbour that is no hull corner.  The fan's circumcircles
-give an independent route to the lune angles, and its circumcenter
-polygons Sibson's stolen areas, each a shoelace summed along the walk
-that visits its centers.  The exact predicates fixed every orientation:
-a mesh triangle turns left when made, a fan triangle (u, v, p) since the
-cavity is star-shaped from p, so circumcenters run no orientation test.
+and every lune neighbour that is no hull corner.  Its circles are solved
+once, about the query, so an exact translation keeps their bits: the
+fan's are a second route to the lune angles, and with the cavity's bound
+Sibson's stolen areas, shoelaces along walks over their centers.  No
+circumcenter runs an orientation test: a mesh triangle turns left when
+made, a fan triangle (u, v, p) since the cavity is star-shaped from p.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, _circumcenter
-from .interpolate import LuneAngleSet, QueryKind, SampleSet, WeightVector, _blend, _elevation, _finite_point, _snap
+from .interpolate import LuneAngleSet, QueryKind, SampleSet, WeightVector, _TEXT, _blend, _elevation, _finite_point, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -330,28 +330,28 @@ class Triangulation:
         return QueryKind.ON_BOUNDARY if on else QueryKind.EXTERIOR, cavity, cycle
 
     def _virtual_cavity(self, s):
-        """(point, cavity, cycle) of the virtual insertion of s.  A query
-        that _place snaps to a site raises CoincidentQueryError, one on or
+        """(cavity, cycle, rel, fan) of the virtual insertion of s, about the
+        framed query p: rel[u] is site u minus p for each cycle site, every
+        cavity vertex among them; fan[j] is the circle (cx, cy, radius) of u_j,
+        v_j and p anchored at p, as a site anchor cancels near the other site.
+        A query _place snaps to a site raises CoincidentQueryError, one on or
         outside the site hull OutsideDomainError."""
-        p = self._samples._frame(s)
+        px, py = p = self._samples._frame(s)
         kind, cavity, cycle = self._place(p, True)
         if kind is not QueryKind.INTERIOR:
             raise OutsideDomainError("query lies on or outside the site hull")
-        return p, cavity, cycle
+        rel = {u: (x - px, y - py) for u, _, _, _ in cycle for x, y in (self._pts[u],)}
+        fan = [_circumcenter((0.0, 0.0), rel[u], rel[v]) for u, v, _, _ in cycle]
+        return cavity, cycle, rel, fan
 
     def lune_angles_oracle(self, s) -> LuneAngleSet:
         """Lune angles by virtual insertion: for each neighbor, the angle
         at s between the circumcircles of the two fan triangles flanking
         the new edge.  The mesh is left untouched."""
-        p, _, cycle = self._virtual_cavity(s)
-        # Each fan circle is solved from p, which lies on it by construction:
-        # from a site, a fan triangle with p near its other site cancels.
-        centers = [_circumcenter(p, self._pts[u], self._pts[v]) for u, v, _, _ in cycle]
-        entries = []
-        for j, (u, _, _, _) in enumerate(cycle):
-            ux, uy = p[0] - centers[j - 1][0], p[1] - centers[j - 1][1]
-            vx, vy = p[0] - centers[j][0], p[1] - centers[j][1]
-            entries.append((u, math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)))
+        _, cycle, _, fan = self._virtual_cavity(s)
+        # Site u_j's angle is between fan circles j - 1 and j, at p.
+        entries = [(u, math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
+                   for (u, _, _, _), (ux, uy, _), (vx, vy, _) in zip(cycle, fan[-1:] + fan, fan)]
         if not all(math.isfinite(theta) for _, theta in entries):
             raise DegenerateInputError("lune angles left the float range")
         return LuneAngleSet(tuple(sorted(entries)))
@@ -359,10 +359,9 @@ class Triangulation:
     def sibson_weights(self, s) -> WeightVector:
         """Sibson's natural neighbor weights: the fraction of the virtual
         cell of s that each neighbor's Voronoi cell loses to it."""
-        p, cavity, cycle = self._virtual_cavity(s)
-        pts, verts, nbrs = self._pts, self._verts, self._nbrs
-        fan = [_circumcenter(pts[u], pts[v], p) for u, v, _, _ in cycle]
-        old = {t: _circumcenter(pts[a], pts[b], pts[c]) for t in cavity for a, b, c in (verts[t],)}
+        cavity, cycle, rel, fan = self._virtual_cavity(s)
+        verts, nbrs = self._verts, self._nbrs
+        old = {t: _circumcenter(rel[a], rel[b], rel[c]) for t in cavity for a, b, c in (verts[t],)}
         areas = []
         for j, (vj, _, _, t) in enumerate(cycle):
             prev_vertex = cycle[j - 1][0]
@@ -441,7 +440,7 @@ def sibson_interpolate(tri: Triangulation, elevations, s):
     exactly up to roundoff.  A query that snaps to a site returns that
     site's elevation, as interpolate does.  Only the elevations the query
     reads are checked: a non-finite one raises DegenerateInputError."""
-    if not hasattr(elevations, "__len__") or len(elevations) != tri.samples.size:
+    if isinstance(elevations, _TEXT) or not hasattr(elevations, "__len__") or len(elevations) != tri.samples.size:
         raise DegenerateInputError("elevations must be a sequence of one per site")
     try:
         value = _blend(tri.sibson_weights(s), elevations)

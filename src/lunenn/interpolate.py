@@ -57,9 +57,16 @@ def _finite(value, message) -> float:
     return x
 
 
+#: Text unpacks into characters or small ints: it is never a point or elevations.
+_TEXT = (str, bytes, bytearray)
+
+
 def _finite_point(p, message) -> tuple:
     """p as an (x, y) pair of finite floats: x is checked before y converts."""
     try:
+        # A tuple, the usual point, skips the slower isinstance test for text.
+        if type(p) is not tuple and isinstance(p, _TEXT):
+            raise TypeError
         x, y = p
     except (TypeError, ValueError):
         raise DegenerateInputError("points must have two coordinates, not %r" % (p,)) from None
@@ -82,6 +89,8 @@ class SampleSet:
         try:
             pts = [_finite_point(p, "site coordinates must be finite") for p in sites]
             count = len(elevations)
+            if isinstance(elevations, _TEXT):
+                raise TypeError
         except TypeError:
             raise DegenerateInputError("sites and elevations must be sequences") from None
         if len(pts) != count:

@@ -306,7 +306,7 @@ def test_int_too_large_for_a_float_is_a_domain_error():
         SampleSet([(0, 0), (1, 0), (0, 1)], [0.0, -huge, 0.0])
 
 
-#: Each entry point fed a point that does not unpack into two coordinates,
+#: Each entry point fed a point that is text or does not unpack into two coordinates,
 #: or a coordinate or an elevation that float() rejects.
 _MALFORMED_CALLS = {
     "SampleSet": lambda bad: SampleSet(SQUARE_SITES[:3] + [bad], SQUARE_Z),
@@ -319,7 +319,7 @@ _MALFORMED_CALLS = {
 _MALFORMED = [
     (entry, bad)
     for entry in _MALFORMED_CALLS
-    for bad in ([None, "x", [1.0]] if entry.endswith("elevation") else [(0.3,), (0.3, 0.4, 123), 5, None, "ab", (None, 0.4), (0.3, "x"), (0.3, 1j)])
+    for bad in ([None, "x", [1.0]] if entry.endswith("elevation") else [(0.3,), (0.3, 0.4, 123), 5, None, "ab", "00", b"\x00\x00", (None, 0.4), (0.3, "x"), (0.3, 1j)])
 ]
 
 
@@ -339,6 +339,16 @@ _WRONG_TYPE_CALLS = {
     "sibson_interpolate-elevations-None": (
         DegenerateInputError,
         lambda: sibson_interpolate(build_delaunay(_square()), None, (0.1, 0.2)),
+    ),
+    "SampleSet-elevations-str": (DegenerateInputError, lambda: SampleSet(SQUARE_SITES, "1234")),
+    "SampleSet-elevations-bytes": (DegenerateInputError, lambda: SampleSet(SQUARE_SITES, b"\x01\x02\x03\x04")),
+    "sibson_interpolate-elevations-str": (
+        DegenerateInputError,
+        lambda: sibson_interpolate(build_delaunay(_square()), "1234", (0.1, 0.2)),
+    ),
+    "sibson_interpolate-elevations-bytes": (
+        DegenerateInputError,
+        lambda: sibson_interpolate(build_delaunay(_square()), b"\x01\x02\x03\x04", (0.1, 0.2)),
     ),
     "interpolate-weight_fn-str": (PreconditionError, lambda: interpolate(_square(), (0.1, 0.2), weight_fn="tan")),
     "interpolate-weight_fn-coincident": (PreconditionError, lambda: interpolate(_square(), (1, 1), weight_fn=None)),
@@ -782,6 +792,60 @@ def test_interpolate_keeps_the_plane_symmetries_bit_for_bit(meshed):
         expected = _interpolated_bits(sites, z, queries, meshed)
         for symmetry, variant in variants.items():
             assert _interpolated_bits(*variant, meshed) == expected, (name, symmetry)
+
+
+def _shifted_set(offset, rng):
+    # 300 sites in [0, 1]**2 moved by offset, and 40 interior queries; p - offset is exact.
+    sites = [(rng.random() + offset, rng.random() + offset) for _ in range(300)]
+    sites += [(offset, offset), (offset + 1, offset), (offset + 1, offset + 1), (offset, offset + 1)]
+    queries = [(rng.uniform(0.05, 0.95) + offset, rng.uniform(0.05, 0.95) + offset) for _ in range(40)]
+    return sites, queries
+
+
+@pytest.mark.parametrize("offset", [2.0**10, 2.0**20, 2.0**30])
+def test_sibson_reproduces_an_affine_field_far_from_the_origin(offset):
+    # Sibson weights are solved relative to the query, so a set far from
+    # the origin loses no digits that its coordinates hold.
+    rng = random.Random(int(offset))
+    sites, queries = _shifted_set(offset, rng)
+
+    def f(x, y):
+        return 2.0 * (x - offset) - 3.0 * (y - offset) + 0.5
+
+    tri = build_delaunay(SampleSet(sites, [f(*p) for p in sites]))
+    for q in queries:
+        assert abs(sibson_interpolate(tri, tri.samples.elevations, q) - f(*q)) <= 1e-12
+
+
+def test_oracle_agrees_with_lune_angles_far_from_the_origin():
+    sites, queries = _shifted_set(2.0**20, random.Random(20))
+    samples = SampleSet(sites, [0.0] * len(sites))
+    tri = build_delaunay(samples)
+    for q in queries:
+        oracle, lune = lune_angles_oracle(tri, q), lune_angles(samples, q)
+        assert oracle.indices == lune.indices
+        assert max(abs(a - b) for a, b in zip(oracle.angles, lune.angles)) <= 1e-9
+
+
+@pytest.mark.parametrize("symmetry", ["translation", "quarter turn"])
+def test_sibson_and_the_oracle_keep_exact_maps_bit_for_bit(symmetry):
+    # Both solve their circles relative to the query, from differences
+    # site - query that an exact translation or a quarter turn keeps.
+    f = _SYMMETRIES[symmetry]
+    rng = random.Random(439)
+    for name, sites, (lo, hi) in _symmetry_corpus(rng):
+        if name == "uniform":
+            continue
+        queries = [(rng.randint(lo * 4096, hi * 4096) / 4096, rng.randint(lo * 4096, hi * 4096) / 4096) for _ in range(150)]
+        tri = build_delaunay(SampleSet(sites, [0.0] * len(sites)))
+        mapped = build_delaunay(SampleSet([f(*p) for p in sites], [0.0] * len(sites)))
+        answered = 0
+        for q in queries:
+            for call in (sibson_weights, lune_angles_oracle):
+                bits = _bits(lambda: call(tri, q))
+                assert _bits(lambda: call(mapped, f(*q))) == bits, (name, q, call.__name__)
+                answered += isinstance(bits[0], tuple)
+        assert answered > 40, name
 
 
 # ------------------------------------------------------------ output digest
