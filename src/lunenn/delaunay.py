@@ -443,7 +443,7 @@ def sibson_interpolate(tri: Triangulation, elevations, s):
     if isinstance(elevations, _TEXT) or not hasattr(elevations, "__len__") or len(elevations) != tri.samples.size:
         raise DegenerateInputError("elevations must be a sequence of one per site")
     try:
-        value = _blend(tri.sibson_weights(s), elevations)
+        value = _blend([(w, _elevation(elevations[i])) for i, w in tri.sibson_weights(s).entries])
     except CoincidentQueryError as exc:
         value = elevations[exc.site_index]
     return _elevation(value)

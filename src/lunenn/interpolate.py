@@ -17,7 +17,8 @@ its rings do not close, since closing proves it interior.  The second
 query that three rings leave open builds a Delaunay triangulation of the
 sites.  From then on one virtual insertion places each query, and the
 exact mesh decides its neighbours: an interior query inverts only its
-cavity cycle, other queries the hull corners too.
+cavity cycle, read off as the hull corners unless rounding bent it, and
+other queries hull the cycle and the site hull corners.
 """
 
 from __future__ import annotations
@@ -42,11 +43,18 @@ DEFAULT_SNAP_TOLERANCE = 1e-12
 _PI_WINDOW = 1e-12
 
 
+#: Text unpacks into characters or small ints and float() parses it: never a point, coordinate or elevations.
+_TEXT = (str, bytes, bytearray)
+
+
 def _finite(value, message) -> float:
     """float(value), raising DegenerateInputError(message) unless it is
-    finite; an int too large for a float counts as infinite, and a value
-    float() rejects raises DegenerateInputError naming it."""
+    finite; an int too large for a float counts as infinite, and text or a
+    value float() rejects raises DegenerateInputError naming it."""
     try:
+        # A float, the usual value, skips the slower isinstance test for text.
+        if type(value) is not float and isinstance(value, _TEXT):
+            raise TypeError
         x = float(value)
     except OverflowError:
         x = math.inf
@@ -55,10 +63,6 @@ def _finite(value, message) -> float:
     if not math.isfinite(x):
         raise DegenerateInputError(message)
     return x
-
-
-#: Text unpacks into characters or small ints: it is never a point or elevations.
-_TEXT = (str, bytes, bytearray)
 
 
 def _finite_point(p, message) -> tuple:
@@ -279,15 +283,16 @@ def _candidates(samples: SampleSet, p: tuple, allow_exterior: Optional[bool] = N
     _rings up to its third block.  The set's first query that needs more
     goes on ring by ring; the second builds samples._mesh.  From then on
     a query's one batch, with reach None, is the cycle sites of its one
-    virtual insertion, and the hull corners if p is not interior; _place
-    raises if p is a site.  Unless allow_exterior is None, p snaps over
-    its first ring block or, in _place, its cycle, and is _refused by the
-    mesh's kind, or by its _side before a ring batch with reach None and
-    before a fourth, which would count a miss.  _lune_angles pulls no
-    more once every corner edge of the images' hull is _clear_of the
-    1/reach disk (NaN never is): the origin is then strictly inside that
-    hull.  Inversion about p keeps each ray from p, so every open
-    half-plane bounded by a line through p holds a site: p is interior."""
+    virtual insertion, a tuple CCW about p if p is interior, else a set
+    with the hull corners; _place raises if p is a site.  Unless
+    allow_exterior is None, p snaps over its first ring block or, in
+    _place, its cycle, and is _refused by the mesh's kind, or by its _side
+    before a ring batch with reach None and before a fourth, which would
+    count a miss.  _lune_angles pulls no more once every corner edge of
+    the images' hull is _clear_of the 1/reach disk (NaN never is): the
+    origin is then strictly inside that hull.  Inversion about p keeps
+    each ray from p, so every open half-plane bounded by a line through p
+    holds a site: p is interior."""
     refusing = snap = allow_exterior is not None
     if samples._mesh is None:
         rings = _rings(samples, p)
@@ -312,8 +317,8 @@ def _candidates(samples: SampleSet, p: tuple, allow_exterior: Optional[bool] = N
     # A lune neighbour q has a circle through p and q with every other site
     # outside, and q neighbours p in the mesh, or inside, and p lies on or
     # outside the hull.
-    sites = {u for u, _, _, _ in cycle if u >= 0}
-    yield sites if kind is QueryKind.INTERIOR else sites.union(samples.hull), None
+    sites = [u for u, _, _, _ in cycle if u >= 0]
+    yield tuple(sites) if kind is QueryKind.INTERIOR else set(sites).union(samples.hull), None
 
 
 def classify_query(samples: SampleSet, s) -> QueryClass:
@@ -377,10 +382,20 @@ def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
 
 
 def _lune_angles(samples: SampleSet, p: tuple, batches) -> LuneAngleSet:
-    """lune_angles of the framed point p, from batches of (site indices, reach)."""
+    """lune_angles of the framed point p, from batches of (site indices,
+    reach).  A tuple batch, a cavity cycle CCW about p, is hulled unless
+    each three of its images in a row turn strictly left by convex_hull's
+    orientation_sign and they wind once (turning angles below 3*pi): then
+    they are the corners of a strictly convex polygon, in order, bit for bit."""
     images = {}
     for new, reach in batches:
         images.update(_inverted_images(samples, p, new))
+        if type(new) is tuple:
+            order, points, corners = new, [images[i] for i in new], range(len(new))
+            if all(orientation_sign(points[k - 2], points[k - 1], points[k]) > 0 for k in corners):
+                angles = turning_angles(points, corners)
+                if sum(angles) < 3 * math.pi:
+                    break
         order = sorted(images)
         points = [images[i] for i in order]
         try:
@@ -394,9 +409,9 @@ def _lune_angles(samples: SampleSet, p: tuple, batches) -> LuneAngleSet:
                 raise DegenerateInputError("query lies too far from the sites for the float range") from None
             raise
         if reach is None or all(_clear_of(points[corners[k - 1]], points[corners[k]], reach) for k in range(len(corners))):
+            angles = turning_angles(points, corners)
             break
         images = {order[c]: points[c] for c in corners}
-    angles = turning_angles(points, corners)
     # Images hundreds of orders of magnitude apart can turn by a float 0.
     if not all(0.0 < theta <= math.pi for theta in angles):
         raise DegenerateInputError("lune angles left the float range")
@@ -434,14 +449,14 @@ def interpolate(samples: SampleSet, s, weight_fn: WeightFunction = WeightFunctio
         angles = _lune_angles(samples, p, _candidates(samples, p, bool(allow_exterior)))
     except CoincidentQueryError as exc:
         return samples.elevations[exc.site_index]
-    return _blend(weights_from_angles(angles, weight_fn), samples.elevations)
+    # SampleSet checked its elevations when it was made.
+    return _blend([(w, samples._elevations[i]) for i, w in weights_from_angles(angles, weight_fn).entries])
 
 
-def _blend(weights: WeightVector, elevations):
-    """Weighted sum of the neighbor elevations, correctly rounded by
-    math.fsum; complex elevations blend their real and imaginary parts
-    apart, each as a real one."""
-    pairs = [(w, _elevation(elevations[i])) for i, w in weights.entries]
+def _blend(pairs):
+    """Sum of weight times elevation over (weight, elevation) pairs,
+    correctly rounded by math.fsum; complex elevations blend their real and
+    imaginary parts apart, each as a real one."""
     if any(isinstance(z, complex) for _, z in pairs):
         return complex(_mean([(w, z.real) for w, z in pairs]), _mean([(w, z.imag) for w, z in pairs]))
     return _mean(pairs)

@@ -212,3 +212,47 @@ def test_every_public_call_returns_a_finite_value_or_a_library_error(kind, seed)
         INTERPOLATE.weights_from_angles = weights_from_angles
     for angles, weights in answers:
         assert not _broken_promises(angles, weights), (angles, weights, _broken_promises(angles, weights))
+
+
+def _outcome(call):
+    """call()'s result, or the type, text and site index of the library error it raises."""
+    try:
+        return call()
+    except LIBRARY_ERRORS as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "site_index", None)
+
+
+def test_interior_mesh_queries_match_hulling_their_cavity_cycle(monkeypatch):
+    # An interior mesh query takes its cycle images, in cycle order, as the
+    # corners where every three in a row turn strictly left and they wind
+    # once, and hulls them otherwise.  Either way lune_angles answers as
+    # hulling the cycle sites does, bit for bit, errors included; the slice
+    # takes both ways.
+    hull = INTERPOLATE.convex_hull
+    hulled = []
+    monkeypatch.setattr(INTERPOLATE, "convex_hull", lambda points: hulled.append(len(points)) or hull(points))
+    ways = []
+    for kind in ("near-coincident", "cocircular", "collinear-but-one", "huge-range"):
+        for seed in range(60):
+            rng = random.Random(seed)
+            sites = _sites(kind, rng)
+            try:
+                samples = SampleSet(sites, [0.0] * len(sites))
+                samples._mesh = build_delaunay(samples)
+            except LIBRARY_ERRORS as exc:
+                assert _permitted(exc), exc
+                continue
+            for q in _queries(rng, sites):
+                p = samples._frame(q)
+                try:
+                    where, _, cycle = samples._mesh._place(p, False)
+                except errors.CoincidentQueryError:
+                    continue
+                if where is not QueryKind.INTERIOR:
+                    continue
+                hulled.clear()
+                answer = _outcome(lambda: lune_angles(samples, q))
+                ways.append(bool(hulled))
+                cycle_sites = {u for u, _, _, _ in cycle}
+                assert answer == _outcome(lambda: INTERPOLATE._lune_angles(samples, p, [(cycle_sites, None)])), (kind, seed, q)
+    assert ways.count(False) > ways.count(True) > 0, (ways.count(False), ways.count(True))

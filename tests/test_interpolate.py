@@ -307,7 +307,7 @@ def test_int_too_large_for_a_float_is_a_domain_error():
 
 
 #: Each entry point fed a point that is text or does not unpack into two coordinates,
-#: or a coordinate or an elevation that float() rejects.
+#: or a coordinate, an elevation or a grid extent that is text or that float() rejects.
 _MALFORMED_CALLS = {
     "SampleSet": lambda bad: SampleSet(SQUARE_SITES[:3] + [bad], SQUARE_Z),
     "interpolate": lambda bad: interpolate(_square(), bad),
@@ -315,11 +315,16 @@ _MALFORMED_CALLS = {
     "sibson_interpolate": lambda bad: sibson_interpolate(build_delaunay(_square()), SQUARE_Z, bad),
     "SampleSet-elevation": lambda bad: SampleSet(SQUARE_SITES, [10.0, bad, 30.0, 40.0]),
     "sibson_interpolate-elevation": lambda bad: sibson_interpolate(build_delaunay(_square()), [10.0, bad, 30.0, 40.0], (0.1, 0.2)),
+    "GridSpec": lambda bad: evaluate_grid(_square(), GridSpec(-0.5, bad, -0.5, 0.5, 2, 2)),
 }
 _MALFORMED = [
     (entry, bad)
     for entry in _MALFORMED_CALLS
-    for bad in ([None, "x", [1.0]] if entry.endswith("elevation") else [(0.3,), (0.3, 0.4, 123), 5, None, "ab", "00", b"\x00\x00", (None, 0.4), (0.3, "x"), (0.3, 1j)])
+    for bad in (
+        [None, "x", [1.0], "20"] if entry.endswith("elevation")
+        else ["0.5", b"0.5", None] if entry == "GridSpec"
+        else [(0.3,), (0.3, 0.4, 123), 5, None, "ab", "00", b"\x00\x00", (None, 0.4), (0.3, "x"), (0.3, 1j), (0.3, "0.4"), ("0.3", 0.4)]
+    )
 ]
 
 
@@ -1019,6 +1024,8 @@ def test_interior_query_hulls_a_small_share_of_the_sites(monkeypatch):
 def test_every_query_hulls_about_n_points(monkeypatch, kind):
     # A ring hands on only its hull's corners, so a query that reaches
     # every site (near the hull or past it) hulls about n points in all.
+    # Once near-hull queries have built the mesh, a query inside the
+    # square reads its corners off its cavity cycle and hulls nothing.
     rng = random.Random(449)
     corners = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
     sites = corners + [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(1996)]
@@ -1033,9 +1040,11 @@ def test_every_query_hulls_about_n_points(monkeypatch, kind):
             "near-hull": (rng.uniform(-1, 1), side * rng.uniform(0.995, 0.9999)),
             "exterior": (rng.uniform(-3, 3), side * rng.uniform(1.01, 3)),
         }[kind]
+        on_mesh_inside = samples._mesh is not None and max(map(abs, s)) < 1.0
         hulled.clear()
         angles = lune_angles(samples, s)
-        assert 0 < sum(hulled) <= 1.1 * samples.size
+        assert (sum(hulled) > 0) is not on_mesh_inside
+        assert sum(hulled) <= 1.1 * samples.size
         assert angles == _lune_angles_literal(samples, s)
 
 
@@ -1081,7 +1090,8 @@ def _near_hull_query(rng):
 @pytest.mark.parametrize("kind", ["near-hull", "exterior"])
 def test_queries_at_the_hull_hull_few_points_once_the_mesh_exists(monkeypatch, kind):
     # Two queries that the rings leave open build the mesh; after that a
-    # query near or past the hull hulls its neighbours and the 4 corners.
+    # query past the hull hulls its neighbours and the 4 corners, and one
+    # near it, inside, reads its corners off its cavity cycle unhulled.
     rng, samples = _square_with_uniform_sites(457)
     lune_angles(samples, (0.3, 2.0))
     lune_angles(samples, (-0.3, -2.0))
@@ -1094,8 +1104,43 @@ def test_queries_at_the_hull_hull_few_points_once_the_mesh_exists(monkeypatch, k
         s = _near_hull_query(rng) if kind == "near-hull" else (rng.uniform(-3, 3), side * rng.uniform(1.01, 3))
         hulled.clear()
         angles = lune_angles(samples, s)
-        assert 0 < sum(hulled) < 200
+        assert (sum(hulled) > 0) is (kind == "exterior")
+        assert sum(hulled) < 200
         assert angles == _lune_angles_literal(samples, s)
+
+
+def test_interior_mesh_queries_hull_nothing(monkeypatch):
+    # Inside the square, near its edges too, a mesh query's cavity cycle
+    # images are already its hull corners in order: convex_hull never runs.
+    rng, samples = _square_with_uniform_sites(463)
+    samples._mesh = build_delaunay(samples)
+    module = sys.modules["lunenn.interpolate"]
+    hulled = []
+    monkeypatch.setattr(module, "convex_hull", lambda points: hulled.append(len(points)) or convex_hull(points))
+    for _ in range(20):
+        for s in ((rng.uniform(-1, 1), rng.uniform(-1, 1)), _near_hull_query(rng)):
+            angles = lune_angles(samples, s)
+            assert hulled == []
+            assert angles == _lune_angles_literal(samples, s)
+
+
+def test_a_cycle_image_on_a_hull_edge_is_hulled_away(monkeypatch):
+    # (0, 0) lies on the empty circle through sites 0, 1 and 2, and the
+    # mesh keeps site 0 on its cavity cycle.  Its image (0, 0.2) lies on
+    # the segment between the images (+-0.4, 0.2) of sites 1 and 2: that
+    # turn is not strictly left, so the cycle images are hulled, once.
+    sites = [(0, 5), (2, 1), (-2, 1), (0, -3), (3, -2), (-3, -2)]
+    samples = SampleSet(sites, [0.0] * len(sites))
+    samples._mesh = build_delaunay(samples)
+    _, _, cycle = samples._mesh._place((0.0, 0.0), False)
+    assert 0 in {u for u, _, _, _ in cycle}
+    module = sys.modules["lunenn.interpolate"]
+    hulled = []
+    monkeypatch.setattr(module, "convex_hull", lambda points: hulled.append(len(points)) or convex_hull(points))
+    angles = lune_angles(samples, (0, 0))
+    assert hulled == [len(cycle)]
+    assert angles.indices == (1, 2, 3, 4, 5)
+    assert angles == lune_angles(SampleSet(sites, [0.0] * len(sites)), (0, 0)) == _lune_angles_literal(samples, (0, 0))
 
 
 def test_only_the_second_query_the_rings_leave_open_builds_the_mesh(monkeypatch):
