@@ -17,8 +17,7 @@ its rings do not close, since closing proves it interior.  The second
 query that three rings leave open builds a Delaunay triangulation of the
 sites.  From then on one virtual insertion places each query, and the
 exact mesh decides its neighbours: an interior query inverts only its
-cavity cycle, read off as the hull corners unless rounding bent it, and
-other queries hull the cycle and the site hull corners.
+cavity cycle, unhulled unless rounding bent it; others add the hull corners.
 """
 
 from __future__ import annotations
@@ -51,9 +50,11 @@ def _finite(value, message) -> float:
     """float(value), raising DegenerateInputError(message) unless it is
     finite; an int too large for a float counts as infinite, and text or a
     value float() rejects raises DegenerateInputError naming it."""
+    # A finite float, the usual value, returns at once: x - x is NaN for an infinite or NaN x.
+    if type(value) is float and value - value == 0.0:
+        return value
     try:
-        # A float, the usual value, skips the slower isinstance test for text.
-        if type(value) is not float and isinstance(value, _TEXT):
+        if isinstance(value, _TEXT):
             raise TypeError
         x = float(value)
     except OverflowError:
