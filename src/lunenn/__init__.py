@@ -1,16 +1,64 @@
 """Moebius-invariant natural neighbor interpolation via lune angles,
 with classical Sibson interpolation and a Delaunay oracle for
-cross-validation."""
+cross-validation.
 
-from .delaunay import (
-    Triangulation,
-    VoronoiCell,
-    build_delaunay,
-    lune_angles_oracle,
-    sibson_interpolate,
-    sibson_weights,
-    voronoi_cell_polygon,
+The mesh module, lunenn.delaunay, runs (and, without bytecode, compiles)
+only in a process that reads from it: lune queries whose rings close never
+do, so a one-shot lune query process compiles only the lune modules.
+`import lunenn` registers it with importlib.util.LazyLoader, in
+sys.modules but not run.  The first read of any attribute of it runs it,
+and the run binds the seven mesh names (_MESH_NAMES) here; until then the
+module __getattr__ (PEP 562) reads them through it.  Binding at the run,
+not at a read, makes every later read a plain lookup of the module's own
+objects, whichever read triggered the run.
+"""
+
+import importlib.util
+import sys
+
+_MESH_NAMES = (
+    "Triangulation",
+    "VoronoiCell",
+    "build_delaunay",
+    "lune_angles_oracle",
+    "sibson_interpolate",
+    "sibson_weights",
+    "voronoi_cell_polygon",
 )
+
+
+class _MeshLoader:
+    """Runs lunenn.delaunay with its own loader, then binds the mesh names
+    in the package; it hands the module its own loader back first, so the
+    module then looks as if it had been imported at once."""
+
+    def __init__(self, loader):
+        self.loader = loader
+
+    def create_module(self, spec):
+        return self.loader.create_module(spec)
+
+    def exec_module(self, module):
+        module.__spec__.loader = module.__loader__ = self.loader
+        self.loader.exec_module(module)
+        globals().update((name, getattr(module, name)) for name in _MESH_NAMES)
+
+
+def _register_mesh_module():
+    spec = importlib.util.find_spec(__name__ + ".delaunay")
+    spec.loader = importlib.util.LazyLoader(_MeshLoader(spec.loader))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# A submodule's import binds it in its package; this registration does too.
+# It comes before every other submodule, so code that walks lunenn's modules
+# in sys.modules order rebinding a name in each (a tracer, a mock) runs this
+# one before it rebinds a name that this one imports, and can put back all
+# it rebinds.
+delaunay = _register_mesh_module()
+
 from .errors import (
     CoincidentQueryError,
     CsvFormatError,
@@ -58,3 +106,13 @@ __all__ = [
     "voronoi_cell_polygon",
     "weights_from_angles",
 ]
+
+
+def __getattr__(name):
+    if name in _MESH_NAMES:
+        return getattr(delaunay, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted({*globals(), *_MESH_NAMES})

@@ -40,7 +40,7 @@ from typing import Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, _circumcenter
-from .interpolate import LuneAngleSet, QueryKind, SampleSet, WeightVector, _TEXT, _blend, _elevation, _finite_point, _snap
+from .interpolate import LuneAngleSet, QueryKind, SampleSet, WeightVector, _TEXT, _blend, _elevation, _finite_point, _rings, _snap
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -293,15 +293,19 @@ class Triangulation:
 
     # -- virtual insertion -------------------------------------------
 
-    def _place(self, p, snap: bool):
+    def _place(self, p, snap: bool, strict: bool = False):
         """(kind, cavity, cycle) of the framed point p.  A site p is, or if
         snap the one _snap finds over the cycle, raises CoincidentQueryError.
         A ghost in the cavity puts p on the hull if its edge passes through
         p, else outside it: classify_query's outcome unless rounding ties or
         reorders the squared distances of sites almost equally far from p.
-        The walk starts at a site in p's cell of SampleSet._buckets clamped
-        onto the grid, else in its four edge neighbours, else on the march to
-        the cell of site 0, first in the map: cols + rows reads at most."""
+        If strict, a walk that ends at a ghost, across a hull edge that p is
+        strictly beyond, gives (EXTERIOR, None, None) with no cavity built; the
+        snap then reads the first ring block, which holds every site within
+        the snap radius.  The walk starts at a site in p's cell of
+        SampleSet._buckets clamped onto the grid, else in its four edge
+        neighbours, else on the march to the cell of site 0, first in the
+        map: cols + rows reads at most."""
         i = self._samples._index.get(p)
         if i is None:
             x0, y0, _, _ = self._samples._box
@@ -316,13 +320,21 @@ class Triangulation:
                 n = max(abs(tc - c), abs(tr - r))
                 march = ((c + round(k * (tc - c) / n), r + round(k * (tr - r) / n)) for k in range(1, n + 1))
                 near = next(filter(None, map(cells.get, march)))
-            cavity, cycle = self._cavity(self._locate(p, self._incident[near[0]]), p, len(self._pts))
-            # Every site nearest to p borders the cavity: the circle on
-            # diameter p-q holds no other site.
+            t = self._locate(p, self._incident[near[0]])
+            if strict and self._verts[t][2] == GHOST:
+                cavity = cycle = None
+                candidates = next(_rings(self._samples, p))[0]
+            else:
+                cavity, cycle = self._cavity(t, p, len(self._pts))
+                # Every site nearest to p borders the cavity: the circle on
+                # diameter p-q holds no other site.
+                candidates = (u for u, _, _, _ in cycle if u != GHOST)
             if snap:
-                i = _snap(self._samples, *p, (u for u, _, _, _ in cycle if u != GHOST))
+                i = _snap(self._samples, *p, candidates)
         if i is not None:
             raise CoincidentQueryError("query coincides with site %d" % i, i)
+        if cavity is None:
+            return QueryKind.EXTERIOR, None, None
         ghosts = [self._verts[t] for t in cavity if self._verts[t][2] == GHOST]
         if not ghosts:
             return QueryKind.INTERIOR, cavity, cycle
@@ -335,9 +347,10 @@ class Triangulation:
         cavity vertex among them; fan[j] is the circle (cx, cy, radius) of u_j,
         v_j and p anchored at p, as a site anchor cancels near the other site.
         A query _place snaps to a site raises CoincidentQueryError, one on or
-        outside the site hull OutsideDomainError."""
+        outside the site hull OutsideDomainError, one past it before its
+        cavity is built."""
         px, py = p = self._samples._frame(s)
-        kind, cavity, cycle = self._place(p, True)
+        kind, cavity, cycle = self._place(p, True, True)
         if kind is not QueryKind.INTERIOR:
             raise OutsideDomainError("query lies on or outside the site hull")
         rel = {u: (x - px, y - py) for u, _, _, _ in cycle for x, y in (self._pts[u],)}

@@ -287,7 +287,8 @@ def _candidates(samples: SampleSet, p: tuple, allow_exterior: Optional[bool] = N
     virtual insertion, a tuple CCW about p if p is interior, else a set
     with the hull corners; _place raises if p is a site.  Unless
     allow_exterior is None, p snaps over its first ring block or, in
-    _place, its cycle, and is _refused by the mesh's kind, or by its _side
+    _place, its cycle, and is _refused by the mesh's kind (strict if
+    allow_exterior is False: no cavity past the hull), or by its _side
     before a ring batch with reach None and before a fourth, which would
     count a miss.  _lune_angles pulls no more once every corner edge of
     the images' hull is _clear_of the 1/reach disk (NaN never is): the
@@ -312,7 +313,7 @@ def _candidates(samples: SampleSet, p: tuple, allow_exterior: Optional[bool] = N
             yield from rings
         from .delaunay import build_delaunay
         samples._mesh = build_delaunay(samples)
-    kind, _, cycle = samples._mesh._place(p, snap)
+    kind, _, cycle = samples._mesh._place(p, snap, allow_exterior is False)
     if refusing:
         _refuse(kind, allow_exterior)
     # A lune neighbour q has a circle through p and q with every other site

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output formats, exit codes, and
 byte-level determinism."""
 
+import argparse
 import ast
 import math
 import os
@@ -258,15 +259,9 @@ def test_eval_output_roundtrips_exactly(square, capsys):
     assert float(first) == interpolate(samples, (0.125, 0.25))
 
 
-def _modules_added_by(statement):
-    """The modules that running statement adds to sys.modules in a fresh
-    interpreter that imports lunenn from this checkout."""
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "%s\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n" % statement
-    )
+def _run_fresh(code):
+    """Standard output of code run in a fresh interpreter that imports
+    lunenn from this checkout."""
     child = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
@@ -274,19 +269,82 @@ def _modules_added_by(statement):
         text=True,
         check=True,
     )
-    return child.stdout.split()
+    return child.stdout
+
+
+def _modules_added_by(statement, ran=False):
+    """The modules that running statement adds to sys.modules in a fresh
+    interpreter that imports lunenn from this checkout; with ran, only those
+    whose code has run.  A module registered to load on first use
+    (importlib.util.LazyLoader) is of a ModuleType subclass until then."""
+    kept = "type(sys.modules[name]) is types.ModuleType" if ran else "True"
+    code = (
+        "import sys, types\n"
+        "before = set(sys.modules)\n"
+        "%s\n"
+        "print(' '.join(name for name in sorted(set(sys.modules) - before) if %s))\n" % (statement, kept)
+    )
+    return _run_fresh(code).split()
+
+
+def _lunenn_modules(names):
+    return [name for name in names if name.partition(".")[0] == "lunenn"]
+
+
+#: Every module of the package, from its files.
+_MODULES = sorted(
+    "lunenn." + name[: -len(".py")]
+    for name in os.listdir(os.path.join(ROOT, "src", "lunenn"))
+    if name.endswith(".py") and name != "__init__.py"
+)
+
+_MESH_NAMES = (
+    "Triangulation",
+    "VoronoiCell",
+    "build_delaunay",
+    "lune_angles_oracle",
+    "sibson_interpolate",
+    "sibson_weights",
+    "voronoi_cell_polygon",
+)
 
 
 def test_runtime_imports_only_the_standard_library():
     # Site hooks can load third-party modules before any code runs, so only
-    # the top-level modules that importing lunenn adds are checked.
-    added = {name.partition(".")[0] for name in _modules_added_by("import lunenn, lunenn.cli")}
+    # the top-level modules that lunenn adds are checked.  Importing the
+    # package runs only some of its modules, so each is imported by name, and
+    # vars() runs one that is registered to load on first use.
+    statement = "import lunenn, %s\nfor name in %r: vars(sys.modules[name])" % (", ".join(_MODULES), _MODULES)
+    ran = _modules_added_by(statement, ran=True)
+    assert set(_MODULES) <= set(ran)
+    added = {name.partition(".")[0] for name in ran}
     assert sorted(added - {"lunenn"} - set(sys.stdlib_module_names)) == []
+    assert {"lunenn.cli", "lunenn.delaunay", "lunenn.experiments", "lunenn.fileio", "lunenn.moebius"} <= set(_MODULES)
+
+
+def test_function_choices_are_the_harmonic_functions():
+    # The parser spells the names out, so that it imports no experiment.
+    from lunenn import experiments
+    from lunenn.cli import _build_parser
+
+    (commands,) = [action for action in _build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    (function,) = [action for action in commands.choices["experiment"]._actions if action.dest == "function"]
+    assert list(function.choices) == sorted(experiments.HARMONIC_FUNCTIONS)
+    assert function.default in experiments.HARMONIC_FUNCTIONS
 
 
 def test_package_namespace_is_the_documented_api():
-    loaded = [name for name in _modules_added_by("import lunenn") if name.partition(".")[0] == "lunenn"]
-    assert loaded == [
+    # import lunenn runs neither the mesh module nor the experiments: it
+    # registers lunenn.delaunay to run on first use.
+    assert _lunenn_modules(_modules_added_by("import lunenn", ran=True)) == [
+        "lunenn",
+        "lunenn.errors",
+        "lunenn.geometry",
+        "lunenn.hull",
+        "lunenn.interpolate",
+        "lunenn.predicates",
+    ]
+    assert _lunenn_modules(_modules_added_by("import lunenn")) == [
         "lunenn",
         "lunenn.delaunay",
         "lunenn.errors",
@@ -295,6 +353,22 @@ def test_package_namespace_is_the_documented_api():
         "lunenn.interpolate",
         "lunenn.predicates",
     ]
+    # Reading any one mesh name runs lunenn.delaunay and binds all seven in
+    # the package, the module's own objects; dir() and the star import give
+    # every name of __all__ before that.
+    for name in _MESH_NAMES:
+        code = (
+            "import sys, types\n"
+            "import lunenn\n"
+            "assert set(lunenn.__all__) <= set(dir(lunenn))\n"
+            "lunenn.%s\n"
+            "mesh = sys.modules['lunenn.delaunay']\n"
+            "assert type(mesh) is types.ModuleType\n"
+            "print(all(vars(lunenn)[n] is getattr(mesh, n) for n in %r))\n" % (name, _MESH_NAMES)
+        )
+        assert _run_fresh(code) == "True\n", name
+    code = "import lunenn\nnames = {}\nexec('from lunenn import *', names)\nprint(sorted(set(names) - {'__builtins__'}))"
+    assert _run_fresh(code) == "%r\n" % sorted(lunenn.__all__)
     assert sorted(lunenn.__all__) == [
         "CoincidentQueryError",
         "CsvFormatError",
@@ -331,3 +405,52 @@ def test_package_namespace_is_the_documented_api():
         for alias in stmt.names
     }
     assert documented and documented <= set(lunenn.__all__)
+
+
+def test_a_lune_process_runs_no_mesh_experiment_or_moebius_code():
+    # A set's first interior queries close their rings, so the lune path
+    # never builds the mesh, and the process never runs the mesh module.
+    statement = (
+        "import random\n"
+        "import lunenn\n"
+        "rng = random.Random(5)\n"
+        "samples = lunenn.SampleSet([(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(200)], [rng.random() for _ in range(200)])\n"
+        "lunenn.interpolate(samples, (0.1, -0.2))\n"
+        "lunenn.weights_from_angles(lunenn.lune_angles(samples, (-0.3, 0.25)))\n"
+        "assert samples._mesh is None"
+    )
+    ran = _modules_added_by(statement, ran=True)
+    assert "lunenn.interpolate" in ran
+    assert not {"lunenn.delaunay", "lunenn.experiments", "lunenn.moebius"} & set(ran)
+    # The command line imports the experiments only for its experiment command.
+    added = _modules_added_by("import lunenn.cli")
+    assert "lunenn.cli" in added and not {"lunenn.experiments", "lunenn.moebius"} & set(added)
+
+
+def test_a_rebinding_walk_over_the_modules_puts_every_name_back():
+    # Code that wraps a function wherever lunenn binds it, as a tracer or a
+    # mock does, walks the modules in sys.modules order; vars() runs the mesh
+    # module on the way.  It comes first, so the names it imports are still
+    # the originals then, and putting back what the walk rebound leaves no
+    # wrapper behind.
+    code = """
+import sys
+import lunenn
+modules = [m for n, m in sys.modules.items() if n.partition(".")[0] == "lunenn"]
+patches = []
+for module_name, attr in (("lunenn.predicates", "orientation_sign"), ("lunenn.delaunay", "sibson_interpolate")):
+    original = getattr(sys.modules[module_name], attr)
+    def wrapper(*args, _original=original):
+        return _original(*args)
+    for module in modules:
+        for binding, value in list(vars(module).items()):
+            if value is original:
+                patches.append((module, binding, original))
+                setattr(module, binding, wrapper)
+assert lunenn.sibson_interpolate.__name__ == lunenn.delaunay.orientation_sign.__name__ == "wrapper"
+for module, binding, original in reversed(patches):
+    setattr(module, binding, original)
+print(sorted(n + "." + k for n, m in sys.modules.items() if n.startswith("lunenn") for k, v in vars(m).items()
+             if getattr(v, "__name__", None) == "wrapper"))
+"""
+    assert _run_fresh(code) == "[]\n"

@@ -327,6 +327,47 @@ def test_walks_from_past_a_corner_start_in_the_clamped_corner_cell():
     assert reads == [reads[0]] * 3
 
 
+def test_a_query_past_the_hull_is_refused_before_its_cavity(monkeypatch):
+    # The walk ends at a ghost only strictly past a hull edge, so Sibson, the
+    # oracle and a lune query that may not leave the hull refuse there with
+    # no cavity built, however far the query lies.  The snap reads the first
+    # ring block instead, so a query past a corner within the snap radius
+    # still gets the corner's elevation.  Lune queries that may leave the hull
+    # build the cavity for its cycle.
+    rng = random.Random(263)
+    sites = []
+    while len(sites) < 500:
+        x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        if x * x + y * y < 1:
+            sites.append((x, y))
+    sites += [(1.0, 1.0), (-1.0, -1.0)]
+    elevations = [rng.uniform(-1, 1) for _ in sites]
+    samples = SampleSet(sites, elevations)
+    tri = samples._mesh = build_delaunay(samples)
+    cavities = []
+    monkeypatch.setattr(tri, "_cavity", lambda *args, cavity=tri._cavity: cavities.append(1) or cavity(*args))
+    past = [(1.5, 1.5), (-1.2, 0.1), (0.3, -1.01), (1e6, 1e6), (2.0**1000, -(2.0**1000))]
+    for q in past:
+        for query in (lambda: sibson_interpolate(tri, elevations, q), lambda: lune_angles_oracle(tri, q),
+                      lambda: interpolate(samples, q)):
+            with pytest.raises(OutsideDomainError):
+                query()
+    assert cavities == []
+    radius = samples._snap_radius
+    for q, site in (((1.0 + 0.5 * radius, 1.0), 500), ((-1.0, -1.0 - 0.7 * radius), 501)):
+        assert sibson_interpolate(tri, elevations, q) == elevations[site]
+        assert interpolate(samples, q) == elevations[site]
+        with pytest.raises(CoincidentQueryError):
+            lune_angles_oracle(tri, q)
+    assert cavities == []
+    with pytest.raises(OutsideDomainError):
+        sibson_interpolate(tri, elevations, (1.0 + 2 * radius, 1.0))
+    for q in past[:3]:
+        assert math.isfinite(interpolate(samples, q, allow_exterior=True))
+        assert lune_angles(samples, q).indices
+    assert len(cavities) == 6
+
+
 def test_build_across_the_double_range():
     # The insertion order quantizes the sites on their bounding box: it
     # must neither overflow on a box as wide as the doubles nor divide by
