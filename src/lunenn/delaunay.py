@@ -15,10 +15,13 @@ n.  Queries write nothing, so after the build the mesh is read-only.
 Each orientation and in-circle test calls the exact predicates on framed
 (x, y) pairs.  Cocircular ties are broken by a symbolic perturbation that
 treats lower-indexed sites as infinitesimally lifted, which makes the
-result independent of insertion order.  A triangle's vertex order is fixed
-when it is created; the fan of an insertion reuses the slots of the cavity
-it replaces, and nothing renumbers the rest.  The public view, triangles,
-is a sorted copy built once after the last insertion.
+result independent of insertion order.  One depth-first tour over edges
+finds the cavity of every insertion and query and emits its boundary in
+CCW order; it raises on a triangle reached twice, so a cavity is always a
+disk with every vertex on its boundary.  A triangle's vertex order is
+fixed when it is created; the fan of an insertion reuses the slots of the
+cavity it replaces, and nothing renumbers the rest.  The public view,
+triangles, is a sorted copy built once after the last insertion.
 
 Virtual insertion computes the cavity and fan a query point would create
 without mutating the mesh, and alone places a mesh query: the walk finds
@@ -116,8 +119,9 @@ class Triangulation:
     order give the same results.
 
     Triangle t is _verts[t]: CCW site indices, GHOST in slot 2 or else the
-    smallest in slot 0, set at creation; _nbrs[t][e] lies across edge e
-    (vertex e to e + 1).  Every slot holds a live triangle.  The ghosts are
+    smallest in slot 0, set at creation by _set_triangle; _nbrs[t][e] lies
+    across edge e (vertex e to e + 1), and each list is replaced whole when
+    its slot is reused.  Every slot holds a live triangle.  The ghosts are
     the hull, kept nowhere else: ghost vs is hull edge vs[1] -> vs[0].  The
     public view triangles, built once, lists the finite ones sorted.
     _incident[i] is a finite triangle at site i, where walks start.  _pts
@@ -150,27 +154,26 @@ class Triangulation:
         # Triangle ids: 0 finite, 1..3 ghosts for edges ab, bc, ca.
         self._verts = [None] * 4
         self._nbrs = [None] * 4
-        self._set_triangle(0, a, b, c, [1, 2, 3])
-        self._set_triangle(1, b, a, GHOST, [0, 3, 2])
-        self._set_triangle(2, c, b, GHOST, [0, 1, 3])
-        self._set_triangle(3, a, c, GHOST, [0, 2, 1])
+        self._set_triangle(0, a, b, c, 1, 2, 3)
+        self._set_triangle(1, b, a, GHOST, 0, 3, 2)
+        self._set_triangle(2, c, b, GHOST, 0, 1, 3)
+        self._set_triangle(3, a, c, GHOST, 0, 2, 1)
         # Each walk starts from the fan of the insertion before it.
         t = 0
         for idx in order[2:]:
             if idx != k:
                 t = self._insert(idx, t)
 
-    def _set_triangle(self, t, u, v, w, nbrs):
+    def _set_triangle(self, t, u, v, w, nu, nv, nw):
         # The one layout: a ghost vertex in slot 2, otherwise the smallest
-        # in slot 0; nbrs[e] lies across edge e and rotates with them.
+        # in slot 0.  nu, nv and nw lie across the edges that leave u, v
+        # and w, and rotate with them into one new list.
         if u == GHOST or (v != GHOST and v < u and v < w):
-            u, v, w = v, w, u
-            nbrs = [nbrs[1], nbrs[2], nbrs[0]]
+            self._verts[t], self._nbrs[t] = (v, w, u), [nv, nw, nu]
         elif v == GHOST or (w != GHOST and w < u and w < v):
-            u, v, w = w, u, v
-            nbrs = [nbrs[2], nbrs[0], nbrs[1]]
-        self._verts[t] = (u, v, w)
-        self._nbrs[t] = nbrs
+            self._verts[t], self._nbrs[t] = (w, u, v), [nw, nu, nv]
+        else:
+            self._verts[t], self._nbrs[t] = (u, v, w), [nu, nv, nw]
 
     def _locate(self, p, t):
         """Walk toward p from the finite triangle t; on a Delaunay
@@ -183,8 +186,9 @@ class Triangulation:
             vs = verts[t]
             if vs[2] == GHOST:
                 return t
+            across = nbrs[t]
             for e in (0, 1, 2):
-                nb = nbrs[t][e]
+                nb = across[e]
                 if nb != came_from and orientation_sign(pts[vs[e]], pts[vs[e - 2]], p) < 0:
                     came_from = t
                     t = nb
@@ -194,69 +198,64 @@ class Triangulation:
         raise DegenerateInputError("mesh invariant broken: point location did not terminate")
 
     def _cavity(self, seed, p, pidx):
-        """(cavity, cycle): the triangles whose circumdisk holds p, by a
-        depth-first search from seed, and the boundary edges (u, v, triangle
-        outside, triangle inside) it meets, chained into the CCW cycle.  A
+        """(cavity, cycle): the triangles whose circumdisk holds p, and the
+        boundary edges (u, v, triangle outside, triangle inside), u -> v an
+        edge of the inside one, in CCW order with each v the next u.  A
         ghost's disk is the open outer halfplane of its hull edge plus the
-        open edge.  A finite triangle's disk is decided by
-        incircle_sign_unchecked, and only an exact cocircular 0 by the
-        symbolic perturbation."""
+        open edge; a finite triangle's is decided by incircle_sign_unchecked,
+        and only an exact 0 by the symbolic perturbation.  One depth-first
+        tour over edges: the seed pushes its edges 2, 1, 0, and a cavity
+        triangle entered across its edge b pushes b + 2, then b + 1, so the
+        boundary edges pop in CCW order.  A cavity is a disk with every
+        vertex on its boundary, its triangles a tree across shared edges:
+        one reached twice, or a cycle vertex met twice, raises."""
         verts, nbrs, pts = self._verts, self._nbrs, self._pts
-        cavity, nxt, stack = set(), {}, []
-        # The seed is reached from no triangle.  p is no vertex, so a finite
-        # seed holds it strictly inside its circumdisk and a ghost seed
-        # strictly beyond its hull edge.
-        inner, reached = None, ((seed, None, None),)
-        while True:
-            for t, u, v in reached:
-                if t in cavity:
-                    continue
-                vs = verts[t]
-                if vs[2] == GHOST:
-                    a, b = pts[vs[1]], pts[vs[0]]
-                    side = orientation_sign(a, b, p)
-                    holds = side < 0 or side == 0 and _strictly_between(a, b, p)
-                else:
-                    ia, ib, ic = vs
-                    sign = incircle_sign_unchecked(pts[ia], pts[ib], pts[ic], p)
-                    holds = sign > 0 if sign else _perturbed_in_disk(pts[ia], pts[ib], pts[ic], p, ia, ib, ic, pidx)
-                if holds:
-                    cavity.add(t)
-                    stack.append(t)
-                    continue
+        cavity, cycle = set(), []
+        # Entries (t, inner, u, v): t reached across edge u -> v of inner.
+        # p is no vertex, so a finite seed holds p strictly inside its
+        # circumdisk and a ghost seed strictly beyond its hull edge.
+        stack = [(seed, None, None, None)]
+        while stack:
+            t, inner, u, v = stack.pop()
+            if t in cavity:
+                raise DegenerateInputError("mesh invariant broken: cavity is not a disk")
+            vs = verts[t]
+            if vs[2] == GHOST:
+                a, b = pts[vs[1]], pts[vs[0]]
+                side = orientation_sign(a, b, p)
+                holds = side < 0 or side == 0 and _strictly_between(a, b, p)
+            else:
+                ia, ib, ic = vs
+                sign = incircle_sign_unchecked(pts[ia], pts[ib], pts[ic], p)
+                holds = sign > 0 if sign else _perturbed_in_disk(pts[ia], pts[ib], pts[ic], p, ia, ib, ic, pidx)
+            if holds:
+                cavity.add(t)
+                across = nbrs[t]
                 if inner is None:
-                    raise DegenerateInputError("mesh invariant broken: located triangle does not hold the point")
-                if u in nxt:
-                    raise DegenerateInputError("mesh invariant broken: cavity boundary is not a simple cycle")
-                nxt[u] = (v, t, inner)
-            if not stack:
-                break
-            inner = stack.pop()
-            vs = verts[inner]
-            reached = zip(nbrs[inner], vs, (vs[1], vs[2], vs[0]))
-        if not nxt:
+                    stack += ((across[2], t, vs[2], vs[0]), (across[1], t, vs[1], vs[2]), (across[0], t, vs[0], vs[1]))
+                else:
+                    b = across.index(inner)
+                    stack += ((across[b - 1], t, vs[b - 1], vs[b]), (across[b - 2], t, vs[b - 2], vs[b - 1]))
+            elif inner is None:
+                raise DegenerateInputError("mesh invariant broken: located triangle does not hold the point")
+            else:
+                cycle.append((u, v, t, inner))
+        if len({u for u, _, _, _ in cycle}) != len(cycle):
             raise DegenerateInputError("mesh invariant broken: cavity boundary is not a simple cycle")
-        cycle = []
-        u = start = next(iter(nxt))
-        for _ in range(len(nxt)):
-            v, outer, inner = nxt[u]
-            cycle.append((u, v, outer, inner))
-            u = v
-        if u != start:
-            raise DegenerateInputError("mesh invariant broken: cavity boundary is not a single cycle")
         return cavity, cycle
 
     def _insert(self, idx, start) -> int:
-        """Insert site idx, walking from triangle start; returns a finite triangle of the fan."""
+        """Insert site idx, walking from triangle start; returns a finite
+        triangle of the fan.  _cavity makes the cavity a disk with every
+        vertex on its boundary, so the fan has two triangles more: it takes
+        the cavity's slots and two new ones."""
         verts, nbrs = self._verts, self._nbrs
         p = self._pts[idx]
         cavity, cycle = self._cavity(self._locate(p, start), p, idx)
-        # The cavity is a disk with every vertex on its boundary, so the fan
-        # has two triangles more: it takes the cavity's slots and two new ones.
-        k = len(cycle)
-        if k != len(cavity) + 2:
-            raise DegenerateInputError("mesh invariant broken: cavity has an interior vertex")
-        n = len(verts)
+        # Every back-link slot is read before any is written: a fan id
+        # written there can equal a cavity id that a later index() seeks.
+        backs = [nbrs[outside].index(inside) for _, _, outside, inside in cycle]
+        k, n = len(cycle), len(verts)
         fan = [*cavity, n, n + 1]
         verts += [None, None]
         nbrs += [None, None]
@@ -265,14 +264,8 @@ class Triangulation:
         # fan triangle j+1 across v_j idx and fan triangle j-1 across idx u_j.
         for j, (u, v, outside, _) in enumerate(cycle):
             t = fan[j]
-            self._set_triangle(t, u, v, idx, [outside, fan[(j + 1) % k], fan[j - 1]])
-            ovs = verts[outside]
-            for e in (0, 1, 2):
-                if ovs[e] == v and ovs[e - 2] == u:
-                    nbrs[outside][e] = t
-                    break
-            else:
-                raise DegenerateInputError("mesh invariant broken: boundary neighbor back-link not found")
+            self._set_triangle(t, u, v, idx, outside, fan[(j + 1) % k], fan[j - 1])
+            nbrs[outside][backs[j]] = t
             if finite is None and u != GHOST and v != GHOST:
                 finite = t
         return finite
@@ -377,20 +370,19 @@ class Triangulation:
         old = {t: _circumcenter(rel[a], rel[b], rel[c]) for t in cavity for a, b, c in (verts[t],)}
         areas = []
         for j, (vj, _, _, t) in enumerate(cycle):
-            prev_vertex = cycle[j - 1][0]
-            # The shoelace of fan centers j - 1 and j, then the old ones around vj.
+            # The shoelace of fan centers j - 1 and j, then the old ones
+            # clockwise around vj, from the inside of edge j to that of edge
+            # j - 1, which ends at vj: _cavity's disk holds the walk.
             (x0, y0, _), (x, y, _) = fan[j - 1], fan[j]
             total = x0 * y - x * y0
+            last = cycle[j - 1][3]
             for _ in range(len(cavity)):
                 cx, cy, _ = old[t]
                 total += x * cy - cx * y
                 x, y = cx, cy
-                slot = verts[t].index(vj)
-                if verts[t][(slot + 2) % 3] == prev_vertex:
+                if t == last:
                     break
-                t = nbrs[t][(slot + 2) % 3]
-                if t not in cavity:
-                    raise DegenerateInputError("mesh invariant broken: stolen-area walk left the cavity")
+                t = nbrs[t][verts[t].index(vj) - 1]
             else:
                 raise DegenerateInputError("mesh invariant broken: stolen-area walk did not close")
             total += x * y0 - x0 * y
