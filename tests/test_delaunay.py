@@ -295,6 +295,78 @@ def test_inline_filters_change_no_decision(monkeypatch):
             assert (tri.triangles, _neighbors(tri.triangles), [sibson_weights(tri, q) for q in queries]) == shipped
 
 
+def _cavity_passes(monkeypatch, check):
+    """Run check(tri, cavity, cycle, tests) on every _cavity pass of the
+    builds and of Sibson and lune mesh queries over _mesh_views_corpus
+    (random sites, lattices, collinear runs), tests being the pass's
+    in-circle calls, and return the number of passes.  The lune queries
+    may leave the hull, so their cavities take ghosts too."""
+    cavity_of, passes, tests = delaunay.Triangulation._cavity, [], []
+
+    def counting(*args):
+        tests.append(None)
+        return incircle_sign_unchecked(*args)
+
+    def checked(self, *args):
+        tests.clear()
+        cavity, cycle = cavity_of(self, *args)
+        check(self, cavity, cycle, len(tests))
+        passes.append(None)
+        return cavity, cycle
+
+    monkeypatch.setattr(delaunay, "incircle_sign_unchecked", counting)
+    monkeypatch.setattr(delaunay.Triangulation, "_cavity", checked)
+    rng = random.Random(269)
+    for sites in _mesh_views_corpus():
+        samples = SampleSet(sites, [float(k) for k in range(len(sites))])
+        tri = samples._mesh = build_delaunay(samples)
+        xs, ys = [x for x, _ in sites], [y for _, y in sites]
+        lo, hi = min(min(xs), min(ys)) - 0.5, max(max(xs), max(ys)) + 0.5
+        # Half-integer queries lie on lattice edges and circles.
+        for q in [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(60)] + [
+            (0.5 * rng.randint(math.floor(2 * lo), math.ceil(2 * hi)), 0.5 * rng.randint(math.floor(2 * lo), math.ceil(2 * hi)))
+            for _ in range(20)
+        ]:
+            for query in (lambda: sibson_weights(tri, q), lambda: interpolate(samples, q, allow_exterior=True)):
+                try:
+                    query()
+                except _LIBRARY_ERRORS as exc:
+                    assert "mesh invariant" not in str(exc)
+    return len(passes)
+
+
+def _check_cavity_contract(tri, cavity, cycle, tests):
+    # Each entry (u, v, outside, inside): u -> v is edge e of the cavity
+    # triangle inside, and outside, across it, is no cavity triangle.  The
+    # entries chain into one cycle through distinct vertices, two more
+    # than the cavity's triangles, as for a disk with no interior vertex.
+    verts, nbrs, k = tri._verts, tri._nbrs, len(cycle)
+    assert k == len(cavity) + 2
+    assert len({u for u, _, _, _ in cycle}) == k
+    for j, (u, v, outside, inside) in enumerate(cycle):
+        assert v == cycle[(j + 1) % k][0]
+        assert inside in cavity and outside not in cavity
+        vs = verts[inside]
+        e = vs.index(u)
+        assert vs[e - 2] == v and nbrs[inside][e] == outside
+        assert inside in nbrs[outside]
+
+
+def test_every_cavity_is_a_disk_bounded_by_its_ccw_cycle(monkeypatch):
+    assert _cavity_passes(monkeypatch, _check_cavity_contract) > 1000
+
+
+def test_the_cavity_tour_tests_each_reached_triangle_once(monkeypatch):
+    # One in-circle test for each finite cavity triangle and one for each
+    # boundary edge with a finite triangle outside (a ghost is decided by
+    # its hull edge): a revisit or a dropped test shows as a count.
+    def check(tri, cavity, cycle, tests):
+        finite = [tri._verts[t][2] != GHOST for t in cavity] + [tri._verts[t][2] != GHOST for _, _, t, _ in cycle]
+        assert tests == sum(finite)
+
+    assert _cavity_passes(monkeypatch, check) > 1000
+
+
 def test_walks_from_past_a_corner_start_in_the_clamped_corner_cell():
     # A disk leaves the corners of its box empty.  Queries past one corner
     # clamp onto the same corner cell, however far they lie, so their walk
@@ -1000,6 +1072,49 @@ def test_broken_orientation_raises_a_library_error(monkeypatch, lie):
                         query()
                     except _LIBRARY_ERRORS:
                         pass
+
+
+@pytest.mark.parametrize("lie", ["negative", "positive", "zero", "flipped", "random"])
+def test_broken_incircle_raises_a_library_error(monkeypatch, lie):
+    # A lying in-circle test can grow a cavity round a vertex or pinch its
+    # boundary; the cavity tour then meets a triangle or a vertex twice and
+    # raises, so Sibson never reads an interior cavity vertex.  Builds and
+    # queries (Sibson, the oracle, a lune query on the mesh) answer or raise
+    # an error from lunenn.errors.  "positive" puts every finite triangle
+    # in the cavity, round every interior site, so no query on a set with
+    # one is answered.
+    rng = random.Random(241)
+    liar = {
+        "negative": lambda p, q, r, t: -1,
+        "positive": lambda p, q, r, t: 1,
+        "zero": lambda p, q, r, t: 0,
+        "flipped": lambda p, q, r, t: -incircle_sign_unchecked(p, q, r, t),
+        "random": lambda p, q, r, t: rng.choice((-1, 0, 1)),
+    }[lie]
+    for _ in range(20):
+        samples = _random_samples(rng, n=rng.randint(5, 60))
+        with monkeypatch.context() as patch:
+            patch.setattr(delaunay, "incircle_sign_unchecked", liar)
+            try:
+                build_delaunay(samples)
+            except _LIBRARY_ERRORS:
+                pass
+        tri = samples._mesh = build_delaunay(samples)
+        interior_site = len(convex_hull(samples.sites)) < samples.size
+        with monkeypatch.context() as patch:
+            patch.setattr(delaunay, "incircle_sign_unchecked", liar)
+            for _ in range(5):
+                q = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+                for query in (
+                    lambda: sibson_interpolate(tri, samples.elevations, q),
+                    lambda: lune_angles_oracle(tri, q),
+                    lambda: interpolate(samples, q),
+                ):
+                    try:
+                        query()
+                    except _LIBRARY_ERRORS:
+                        continue
+                    assert lie != "positive" or not interior_site
 
 
 # ------------------------------------------------------ pinned mesh views
