@@ -6,11 +6,10 @@ The mesh module, lunenn.delaunay, runs (and, without bytecode, compiles)
 only in a process that reads from it: lune queries whose rings close never
 do, so a one-shot lune query process compiles only the lune modules.
 `import lunenn` registers it with importlib.util.LazyLoader, in
-sys.modules but not run.  The first read of any attribute of it runs it,
-and the run binds the seven mesh names (_MESH_NAMES) here; until then the
-module __getattr__ (PEP 562) reads them through it.  Binding at the run,
-not at a read, makes every later read a plain lookup of the module's own
-objects, whichever read triggered the run.
+sys.modules but not run; the first read of any attribute of it runs it.
+The module __getattr__ (PEP 562) forwards the seven mesh names
+(_MESH_NAMES) to it, so a read through the package always gives the
+module's current object.
 """
 
 import importlib.util
@@ -27,26 +26,9 @@ _MESH_NAMES = (
 )
 
 
-class _MeshLoader:
-    """Runs lunenn.delaunay with its own loader, then binds the mesh names
-    in the package; it hands the module its own loader back first, so the
-    module then looks as if it had been imported at once."""
-
-    def __init__(self, loader):
-        self.loader = loader
-
-    def create_module(self, spec):
-        return self.loader.create_module(spec)
-
-    def exec_module(self, module):
-        module.__spec__.loader = module.__loader__ = self.loader
-        self.loader.exec_module(module)
-        globals().update((name, getattr(module, name)) for name in _MESH_NAMES)
-
-
 def _register_mesh_module():
     spec = importlib.util.find_spec(__name__ + ".delaunay")
-    spec.loader = importlib.util.LazyLoader(_MeshLoader(spec.loader))
+    spec.loader = importlib.util.LazyLoader(spec.loader)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

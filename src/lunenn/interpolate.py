@@ -370,7 +370,8 @@ def lune_angles(samples: SampleSet, s) -> LuneAngleSet:
     """Lune angle of every neighbor of s: invert the sites in the unit
     circle about s, take the convex hull of the images, and read off its
     turning angles.  Sites whose image falls strictly inside the hull,
-    or on a hull edge (angle zero), are omitted.
+    or on a hull edge (a site cocircular with s and the sites of the two
+    corners beside it), are omitted.
 
     The sites are inverted ring by ring (_rings) until the images' hull
     holds the disk of radius 1/R, R the reach of the rings: the images
@@ -388,7 +389,10 @@ def _lune_angles(samples: SampleSet, p: tuple, batches) -> LuneAngleSet:
     reach).  A tuple batch, a cavity cycle CCW about p, is hulled unless
     each three of its images in a row turn strictly left by convex_hull's
     orientation_sign and they wind once (turning angles below 3*pi): then
-    they are the corners of a strictly convex polygon, in order, bit for bit."""
+    they are the corners of a strictly convex polygon, in order, bit for bit.
+    A corner that turns by a float 0 with its site cocircular with p and
+    the sites of the corners beside it is an image on their hull edge,
+    kept by rounding: it is dropped, and the rest turn again."""
     images = {}
     for new, reach in batches:
         images.update(_inverted_images(samples, p, new))
@@ -414,9 +418,14 @@ def _lune_angles(samples: SampleSet, p: tuple, batches) -> LuneAngleSet:
             angles = turning_angles(points, corners)
             break
         images = {order[c]: points[c] for c in corners}
-    # Images hundreds of orders of magnitude apart can turn by a float 0.
     if not all(0.0 < theta <= math.pi for theta in angles):
-        raise DegenerateInputError("lune angles left the float range")
+        unit, k = samples._unit, len(corners)
+        corners = [corners[j] for j in range(k) if angles[j] != 0.0 or incircle_sign_unchecked(
+            *(unit[order[corners[(j + d) % k]]] for d in (-1, 0, 1)), p)]
+        angles = turning_angles(points, corners)
+        # Images hundreds of orders of magnitude apart can turn by a float 0.
+        if not all(0.0 < theta <= math.pi for theta in angles):
+            raise DegenerateInputError("lune angles left the float range")
     return LuneAngleSet(tuple(sorted(zip((order[c] for c in corners), angles))))
 
 
