@@ -353,9 +353,9 @@ def test_package_namespace_is_the_documented_api():
         "lunenn.interpolate",
         "lunenn.predicates",
     ]
-    # Reading any one mesh name runs lunenn.delaunay and binds all seven in
-    # the package, the module's own objects; dir() and the star import give
-    # every name of __all__ before that.
+    # Reading any one mesh name runs lunenn.delaunay; the package forwards
+    # all seven to the module's own objects and binds none of them; dir()
+    # and the star import give every name of __all__ before that.
     for name in _MESH_NAMES:
         code = (
             "import sys, types\n"
@@ -364,7 +364,8 @@ def test_package_namespace_is_the_documented_api():
             "lunenn.%s\n"
             "mesh = sys.modules['lunenn.delaunay']\n"
             "assert type(mesh) is types.ModuleType\n"
-            "print(all(vars(lunenn)[n] is getattr(mesh, n) for n in %r))\n" % (name, _MESH_NAMES)
+            "print(all(getattr(lunenn, n) is getattr(mesh, n) and n not in vars(lunenn) for n in %r))\n"
+            % (name, _MESH_NAMES)
         )
         assert _run_fresh(code) == "True\n", name
     code = "import lunenn\nnames = {}\nexec('from lunenn import *', names)\nprint(sorted(set(names) - {'__builtins__'}))"
@@ -405,6 +406,25 @@ def test_package_namespace_is_the_documented_api():
         for alias in stmt.names
     }
     assert documented and documented <= set(lunenn.__all__)
+
+
+def test_the_package_namespace_does_not_change_when_the_mesh_module_runs():
+    # A lune set's second ring miss builds its mesh, which runs the mesh
+    # module from inside interpolate; the package's own bindings stay as
+    # import lunenn left them.
+    code = (
+        "import lunenn\n"
+        "before = set(vars(lunenn))\n"
+        "import random, sys, types\n"
+        "rng = random.Random(5)\n"
+        "samples = lunenn.SampleSet([(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(200)], [rng.random() for _ in range(200)])\n"
+        "lunenn.interpolate(samples, (1.5, 0.1), allow_exterior=True)\n"
+        "assert samples._mesh is None and type(sys.modules['lunenn.delaunay']) is not types.ModuleType\n"
+        "lunenn.interpolate(samples, (-0.2, -1.5), allow_exterior=True)\n"
+        "assert samples._mesh is not None and type(sys.modules['lunenn.delaunay']) is types.ModuleType\n"
+        "print(sorted(set(vars(lunenn)) ^ before))\n"
+    )
+    assert _run_fresh(code) == "[]\n"
 
 
 def test_a_lune_process_runs_no_mesh_experiment_or_moebius_code():

@@ -464,6 +464,27 @@ def test_lune_angles_that_collapse_to_zero_raise():
     assert ring._mesh is None
 
 
+def test_a_site_on_an_image_hull_edge_is_omitted():
+    # Each query lies on the circle through the four corners of the 6x5
+    # lattice, so the images of the far two lie on the image-hull edge
+    # between those of the near two, and turn by a float 0 as hull corners.
+    sites = [(float(x), float(y)) for x in range(6) for y in range(5)]
+    z = [3 * x - 2 * y + 7 for x, y in sites]
+    ring = SampleSet(sites, z)
+    meshed = SampleSet(sites, z)
+    meshed._mesh = build_delaunay(meshed)
+    for q in ((4.5, -0.5), (0.5, -0.5), (4.5, 4.5), (0.5, 4.5)):
+        angles = lune_angles(ring, q)
+        assert lune_angles(meshed, q) == angles
+        value = interpolate(ring, q, allow_exterior=True)
+        assert interpolate(meshed, q, allow_exterior=True) == value and math.isfinite(value)
+        row = 0.0 if q[1] < 0 else 4.0
+        assert [sites[i] for i, _ in angles.entries] == [(float(x), row) for x in range(6)]
+        assert all(theta > 0.0 for _, theta in angles.entries)
+        assert abs(math.fsum(theta for _, theta in angles.entries) - 2 * math.pi) <= 4 * math.ulp(2 * math.pi)
+    assert ring._mesh is None
+
+
 def _sweep_sites(kind, rng):
     if kind == "random":
         return [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.choice((12, 40)))]
