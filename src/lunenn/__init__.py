@@ -7,9 +7,9 @@ only in a process that reads from it: lune queries whose rings close never
 do, so a one-shot lune query process compiles only the lune modules.
 `import lunenn` registers it with importlib.util.LazyLoader, in
 sys.modules but not run; the first read of any attribute of it runs it.
-The module __getattr__ (PEP 562) forwards the seven mesh names
+The module __getattr__ (PEP 562) forwards the six mesh names
 (_MESH_NAMES) to it, so a read through the package always gives the
-module's current object.
+module's current object; sibson_interpolate is bound at import.
 """
 
 import importlib.util
@@ -20,7 +20,6 @@ _MESH_NAMES = (
     "VoronoiCell",
     "build_delaunay",
     "lune_angles_oracle",
-    "sibson_interpolate",
     "sibson_weights",
     "voronoi_cell_polygon",
 )
@@ -57,6 +56,7 @@ from .interpolate import (
     WeightVector,
     interpolate,
     lune_angles,
+    sibson_interpolate,
     weights_from_angles,
 )
 from .predicates import incircle_sign, orientation_sign

@@ -1,5 +1,5 @@
 """Delaunay triangulation with exact predicates, and classical Sibson
-(stolen-area) interpolation driven by virtual insertion.
+(stolen-area) weights driven by virtual insertion.
 
 The triangulation is built by Bowyer-Watson point insertion over a mesh
 that carries one ghost triangle per hull edge, so hull growth needs no
@@ -43,7 +43,7 @@ from typing import Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, _circumcenter
-from .interpolate import LuneAngleSet, QueryKind, SampleSet, WeightVector, _TEXT, _blend, _elevation, _finite_point, _rings, _snap
+from .interpolate import LuneAngleSet, QueryKind, SampleSet, WeightVector, _rings, _snap, sibson_interpolate  # re-exported
 from .predicates import incircle_sign_unchecked, orientation_sign
 
 GHOST = -1
@@ -423,8 +423,10 @@ class Triangulation:
             return VoronoiCell(site_index, None, (rays[0], rays[1]))
         centers = [_circumcenter(*(self._pts[v] for v in vs)) for vs in ring]
         scale = 2.0 ** self._samples._e
-        vertices = (_finite_point((c[0] * scale, c[1] * scale), "Voronoi vertex left the float range") for c in centers)
-        return VoronoiCell(site_index, tuple(map(Point._make, vertices)), None)
+        vertices = tuple([Point(cx * scale, cy * scale) for cx, cy, _ in centers])
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in vertices):
+            raise DegenerateInputError("Voronoi vertex left the float range")
+        return VoronoiCell(site_index, vertices, None)
 
 
 def build_delaunay(samples: SampleSet) -> Triangulation:
@@ -439,16 +441,3 @@ lune_angles_oracle = Triangulation.lune_angles_oracle
 sibson_weights = Triangulation.sibson_weights
 voronoi_cell_polygon = Triangulation.voronoi_cell_polygon
 
-
-def sibson_interpolate(tri: Triangulation, elevations, s):
-    """Blend elevations with Sibson weights; reproduces affine data
-    exactly up to roundoff.  A query that snaps to a site returns that
-    site's elevation, as interpolate does.  Only the elevations the query
-    reads are checked: a non-finite one raises DegenerateInputError."""
-    if isinstance(elevations, _TEXT) or not hasattr(elevations, "__len__") or len(elevations) != tri.samples.size:
-        raise DegenerateInputError("elevations must be a sequence of one per site")
-    try:
-        value = _blend([(w, _elevation(elevations[i])) for i, w in tri.sibson_weights(s).entries])
-    except CoincidentQueryError as exc:
-        value = elevations[exc.site_index]
-    return _elevation(value)

@@ -3,11 +3,12 @@ convergence on harmonic test functions sampled on the unit circle."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from dataclasses import dataclass
 
-from .errors import OutsideDomainError, PreconditionError
+from .errors import CoincidentQueryError, OutsideDomainError, PreconditionError
 from .geometry import Point, is_infinite
 from .interpolate import (
     QueryKind,
@@ -98,8 +99,9 @@ def _random_instance(rng, n=20):
             continue
         for _ in range(256):
             s = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            if classify_query(samples, s).kind is QueryKind.INTERIOR:
-                return samples, s
+            with contextlib.suppress(CoincidentQueryError):
+                if classify_query(samples, s) is QueryKind.INTERIOR:
+                    return samples, s
         # Pathological hull; draw a fresh site set.
 
 

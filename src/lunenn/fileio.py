@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .delaunay import build_delaunay, sibson_interpolate
+from .delaunay import build_delaunay
 from .errors import CsvFormatError, DegenerateBoundaryError, DegenerateInputError, OutsideDomainError
-from .interpolate import SampleSet, WeightFunction, _finite, interpolate
+from .interpolate import SampleSet, WeightFunction, _finite, interpolate, sibson_interpolate
 
 _REAL_HEADER = ("x", "y", "z")
 _COMPLEX_HEADER = ("x", "y", "z_re", "z_im")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import DegenerateInputError
@@ -38,30 +37,15 @@ def is_infinite(p: ExtendedPoint) -> bool:
     return p is AT_INFINITY
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: Point
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", Point(*self.center))
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise DegenerateInputError("circle radius must be finite and positive")
-        if not (math.isfinite(self.center.x) and math.isfinite(self.center.y)):
-            raise DegenerateInputError("circle center must be finite")
-
-
-def circumcircle(p, q, r) -> Circle:
-    """Circle through three non-collinear points."""
+def circumcircle(p, q, r) -> tuple:
+    """(cx, cy, radius) of the circle through three non-collinear points."""
     if orientation_sign(p, q, r) == 0:
         raise DegenerateInputError("circumcircle requires non-collinear points")
-    cx, cy, radius = _circumcenter(p, q, r)
-    return Circle(Point(cx, cy), radius)
+    return _circumcenter(p, q, r)
 
 
 def _circumcenter(p, q, r):
-    """circumcircle of points known not to be collinear, as (cx, cy, radius)
-    checked as Circle checks them: no orientation test, no Circle."""
+    """circumcircle of points known not to be collinear: no orientation test."""
     # Translate so p is the origin; solves the perpendicular-bisector system.
     bx = q[0] - p[0]
     by = q[1] - p[1]

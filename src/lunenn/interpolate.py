@@ -198,16 +198,9 @@ class WeightFunction(Enum):
 
 
 class QueryKind(Enum):
-    COINCIDENT = "coincident"
     INTERIOR = "interior"
     ON_BOUNDARY = "on-boundary"
     EXTERIOR = "exterior"
-
-
-@dataclass(frozen=True)
-class QueryClass:
-    kind: QueryKind
-    site_index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -287,8 +280,8 @@ def _candidates(samples: SampleSet, p: tuple, allow_exterior: Optional[bool] = N
     virtual insertion, a tuple CCW about p if p is interior, else a set
     with the hull corners; _place raises if p is a site.  Unless
     allow_exterior is None, p snaps over its first ring block or, in
-    _place, its cycle, and is _refused by the mesh's kind (strict if
-    allow_exterior is False: no cavity past the hull), or by its _side
+    _place, its cycle, and _refuse judges it by the mesh's kind (strict
+    if allow_exterior is False: no cavity past the hull), or by its _side
     before a ring batch with reach None and before a fourth, which would
     count a miss.  _lune_angles pulls no more once every corner edge of
     the images' hull is _clear_of the 1/reach disk (NaN never is): the
@@ -323,14 +316,16 @@ def _candidates(samples: SampleSet, p: tuple, allow_exterior: Optional[bool] = N
     yield tuple(sites) if kind is QueryKind.INTERIOR else set(sites).union(samples.hull), None
 
 
-def classify_query(samples: SampleSet, s) -> QueryClass:
+def classify_query(samples: SampleSet, s) -> QueryKind:
     """Snap s to a site as _snap does over the 3x3 block of grid cells
-    around s, which holds every site within the snap radius, otherwise
-    place s exactly relative to the site hull, built on first use.
-    interpolate hulls the sites only where its rings leave s unproven."""
+    around s, which holds every site within the snap radius, and raise
+    CoincidentQueryError if it does, else place s exactly relative to the
+    site hull, built on first use, which interpolate does only if it must."""
     p = samples._frame(s)
-    best = _snap(samples, *p, next(_rings(samples, p))[0])
-    return QueryClass(QueryKind.COINCIDENT, best) if best is not None else QueryClass(_side(samples, p))
+    i = _snap(samples, *p, next(_rings(samples, p))[0])
+    if i is not None:
+        raise CoincidentQueryError("query coincides with site %d" % i, i)
+    return _side(samples, p)
 
 
 def _side(samples: SampleSet, p: tuple) -> QueryKind:
@@ -462,6 +457,20 @@ def interpolate(samples: SampleSet, s, weight_fn: WeightFunction = WeightFunctio
         return samples.elevations[exc.site_index]
     # SampleSet checked its elevations when it was made.
     return _blend([(w, samples._elevations[i]) for i, w in weights_from_angles(angles, weight_fn).entries])
+
+
+def sibson_interpolate(tri, elevations, s):
+    """Blend elevations with Sibson weights; reproduces affine data
+    exactly up to roundoff.  A query that snaps to a site returns that
+    site's elevation, as interpolate does.  Only the elevations the query
+    reads are checked: a non-finite one raises DegenerateInputError."""
+    if isinstance(elevations, _TEXT) or not hasattr(elevations, "__len__") or len(elevations) != tri.samples.size:
+        raise DegenerateInputError("elevations must be a sequence of one per site")
+    try:
+        value = _blend([(w, _elevation(elevations[i])) for i, w in tri.sibson_weights(s).entries])
+    except CoincidentQueryError as exc:
+        value = elevations[exc.site_index]
+    return _elevation(value)
 
 
 def _blend(pairs):

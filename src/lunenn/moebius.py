@@ -13,8 +13,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import DegenerateInputError, GeneratorExhaustedError
-from .geometry import AT_INFINITY, Circle, ExtendedPoint, Point, is_infinite
+from .errors import DegenerateInputError, GeneratorExhaustedError, PreconditionError
+from .geometry import AT_INFINITY, ExtendedPoint, Point, is_infinite
+from .interpolate import _TEXT, _finite, _finite_point
 
 
 @dataclass(frozen=True)
@@ -27,9 +28,17 @@ class MoebiusMap:
 
     def __post_init__(self):
         for name in "abcd":
-            value = complex(getattr(self, name))
+            value = getattr(self, name)
+            try:
+                if isinstance(value, _TEXT):
+                    raise TypeError
+                value = complex(value)
+            except OverflowError:
+                value = complex(math.inf)
+            except (TypeError, ValueError):
+                raise DegenerateInputError("coefficients must be numbers, not %r" % (value,)) from None
             object.__setattr__(self, name, value)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            if not cmath.isfinite(value):
                 raise DegenerateInputError("coefficients must be finite")
         det = self.a * self.d - self.b * self.c
         if abs(det) == 0.0:
@@ -39,34 +48,49 @@ class MoebiusMap:
 IDENTITY = MoebiusMap(1.0, 0.0, 0.0, 1.0)
 
 
-def moebius_from_inversion(circle: Circle) -> MoebiusMap:
-    """The inversion in a circle as a conjugating map."""
-    center = complex(circle.center.x, circle.center.y)
-    r2 = circle.radius * circle.radius
-    return MoebiusMap(center, r2 - abs(center) ** 2, 1.0, -center.conjugate(), True)
+def _check_maps(*maps) -> None:
+    for m in maps:
+        if not isinstance(m, MoebiusMap):
+            raise PreconditionError("expected a MoebiusMap, not %r" % (m,))
+
+
+def _image(z: complex, *parts: complex) -> Point:
+    """z as a Point, unless it or a value it was computed from is not finite."""
+    if not all(map(cmath.isfinite, (z, *parts))):
+        raise DegenerateInputError("Moebius image left the float range")
+    return Point(z.real, z.imag)
+
+
+def moebius_from_inversion(center, radius) -> MoebiusMap:
+    """The inversion in the circle of this center and radius as a conjugating map."""
+    radius = _finite(radius, "circle radius must be finite and positive")
+    if not radius > 0.0:
+        raise DegenerateInputError("circle radius must be finite and positive")
+    center = complex(*_finite_point(center, "circle center must be finite"))
+    return MoebiusMap(center, radius * radius - abs(center) ** 2, 1.0, -center.conjugate(), True)
 
 
 def moebius_apply(m: MoebiusMap, p: ExtendedPoint) -> ExtendedPoint:
-    """Apply the map; poles go to AT_INFINITY and AT_INFINITY to a/c."""
+    """Apply the map; poles go to AT_INFINITY and AT_INFINITY to a/c.  A
+    point or an image past the float range raises DegenerateInputError."""
+    _check_maps(m)
     if is_infinite(p):
-        if m.c == 0:
-            return AT_INFINITY
-        z = m.a / m.c
-        return Point(z.real, z.imag)
-    w = complex(p[0], p[1])
+        return AT_INFINITY if m.c == 0 else _image(m.a / m.c)
+    w = complex(*_finite_point(p, "point coordinates must be finite"))
     if m.conjugating:
         w = w.conjugate()
     den = m.c * w + m.d
     if den == 0:
         return AT_INFINITY
-    z = (m.a * w + m.b) / den
-    return Point(z.real, z.imag)
+    num = m.a * w + m.b
+    return _image(num / den, num, den)
 
 
 def moebius_compose(outer: MoebiusMap, inner: MoebiusMap) -> MoebiusMap:
     """The map applying inner first, then outer.  When the outer map
     conjugates, the inner coefficients are conjugated as the conjugation
     moves past them; the flags combine by exclusive or."""
+    _check_maps(outer, inner)
     if outer.conjugating:
         ia, ib, ic, id_ = (
             inner.a.conjugate(),
@@ -87,12 +111,11 @@ def moebius_compose(outer: MoebiusMap, inner: MoebiusMap) -> MoebiusMap:
 
 def moebius_pole(m: MoebiusMap) -> ExtendedPoint:
     """The point sent to AT_INFINITY (AT_INFINITY itself when c == 0)."""
+    _check_maps(m)
     if m.c == 0:
         return AT_INFINITY
     w = -m.d / m.c
-    if m.conjugating:
-        w = w.conjugate()
-    return Point(w.real, w.imag)
+    return _image(w.conjugate() if m.conjugating else w)
 
 
 def random_moebius(seed, forbidden=(), clearance=0.0, max_attempts=256) -> MoebiusMap:
@@ -101,7 +124,7 @@ def random_moebius(seed, forbidden=(), clearance=0.0, max_attempts=256) -> Moebi
     clearance from every forbidden point; runs out of attempts otherwise.
     """
     rng = random.Random(seed)
-    forbidden = [Point(p[0], p[1]) for p in forbidden]
+    forbidden = [_finite_point(p, "forbidden points must be finite") for p in forbidden]
     for _ in range(max_attempts):
         if rng.random() < 0.25:
             angle = rng.uniform(0.0, 2.0 * math.pi)
@@ -112,13 +135,13 @@ def random_moebius(seed, forbidden=(), clearance=0.0, max_attempts=256) -> Moebi
         else:
             candidate = None
             for _ in range(rng.randint(1, 3)):
-                center = Point(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-                inversion = moebius_from_inversion(Circle(center, rng.uniform(0.8, 2.0)))
+                center = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+                inversion = moebius_from_inversion(center, rng.uniform(0.8, 2.0))
                 candidate = inversion if candidate is None else moebius_compose(inversion, candidate)
         pole = moebius_pole(candidate)
         if is_infinite(pole):
             return candidate
-        if all(math.hypot(p.x - pole.x, p.y - pole.y) > clearance for p in forbidden):
+        if all(math.hypot(x - pole.x, y - pole.y) > clearance for x, y in forbidden):
             return candidate
     raise GeneratorExhaustedError(
         "no admissible map after %d attempts (clearance %g)" % (max_attempts, clearance)

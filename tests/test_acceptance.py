@@ -54,7 +54,7 @@ def _random_samples(rng, n):
 def _interior_query(rng, samples):
     while True:
         q = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if classify_query(samples, q).kind is QueryKind.INTERIOR:
+        if classify_query(samples, q) is QueryKind.INTERIOR:
             return q
 
 
@@ -170,7 +170,7 @@ def test_interpolation_and_continuity():
             nx, ny, norm = 1.0, 0.0, 1.0
         d = 1e-9 * samples.diagonal
         q = Point(site.x + d * nx / norm, site.y + d * ny / norm)
-        if classify_query(samples, q).kind is not QueryKind.INTERIOR:
+        if classify_query(samples, q) is not QueryKind.INTERIOR:
             continue
         value = interpolate(samples, q)
         spread = max(samples.elevations) - min(samples.elevations)

@@ -3,6 +3,7 @@ byte-level determinism."""
 
 import argparse
 import ast
+import importlib
 import math
 import os
 import re
@@ -303,7 +304,6 @@ _MESH_NAMES = (
     "VoronoiCell",
     "build_delaunay",
     "lune_angles_oracle",
-    "sibson_interpolate",
     "sibson_weights",
     "voronoi_cell_polygon",
 )
@@ -353,8 +353,18 @@ def test_package_namespace_is_the_documented_api():
         "lunenn.interpolate",
         "lunenn.predicates",
     ]
+    # sibson_interpolate lives in lunenn.interpolate: the package binds it
+    # at import, and the mesh module re-exports the same object.
+    code = (
+        "import sys, types\n"
+        "import lunenn\n"
+        "bound = 'sibson_interpolate' in vars(lunenn)\n"
+        "assert type(sys.modules['lunenn.delaunay']) is not types.ModuleType\n"
+        "print(bound, lunenn.sibson_interpolate is lunenn.delaunay.sibson_interpolate)\n"
+    )
+    assert _run_fresh(code) == "True True\n"
     # Reading any one mesh name runs lunenn.delaunay; the package forwards
-    # all seven to the module's own objects and binds none of them; dir()
+    # all six to the module's own objects and binds none of them; dir()
     # and the star import give every name of __all__ before that.
     for name in _MESH_NAMES:
         code = (
@@ -474,3 +484,26 @@ print(sorted(n + "." + k for n, m in sys.modules.items() if n.startswith("lunenn
              if getattr(v, "__name__", None) == "wrapper"))
 """
     assert _run_fresh(code) == "[]\n"
+
+
+def test_every_name_the_layer_tracer_wraps_exists():
+    # bench/layertrace.py looks its targets up by name when it installs, so a
+    # deleted or renamed one fails only a traced benchmark run.  Its two
+    # tables are read here without importing or running it.
+    with open(os.path.join(ROOT, "bench", "layertrace.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    tables = {
+        stmt.targets[0].id: ast.literal_eval(stmt.value)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) in ("_TARGETS", "_METHODS")
+    }
+    assert tables["_TARGETS"] and tables["_METHODS"]
+    # import_module gives lunenn.delaunay registered to run on first use;
+    # hasattr runs it.
+    missing = [(module, attr) for module, attr, _, _ in tables["_TARGETS"] if not hasattr(importlib.import_module(module), attr)]
+    missing += [
+        (module, cls + "." + attr)
+        for module, cls, attr, _ in tables["_METHODS"]
+        if not hasattr(getattr(importlib.import_module(module), cls, None), attr)
+    ]
+    assert missing == []

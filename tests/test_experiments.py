@@ -13,7 +13,7 @@ from lunenn.experiments import (
     experiment_invariance,
     invariance_trial,
 )
-from lunenn.geometry import Circle, Point
+from lunenn.geometry import Point
 from lunenn.moebius import IDENTITY, MoebiusMap, moebius_from_inversion
 
 
@@ -56,7 +56,7 @@ def test_invariance_trial_identity():
 
 def test_invariance_trial_pure_inversion():
     samples = SampleSet([(-1, -1), (1, -1), (1, 1), (-1, 1)], [1.0, 2.0, 3.0, 4.0])
-    m = moebius_from_inversion(Circle(Point(2.5, 2.5), 1.0))
+    m = moebius_from_inversion(Point(2.5, 2.5), 1.0)
     deviation, mismatch = invariance_trial(samples, (0.1, 0.2), m)
     assert deviation <= 1e-8
     assert mismatch <= 1e-8

@@ -8,7 +8,6 @@ import pytest
 from lunenn.errors import DegenerateInputError
 from lunenn.geometry import (
     AT_INFINITY,
-    Circle,
     Point,
     _circumcenter,
     circumcircle,
@@ -19,7 +18,7 @@ from lunenn.predicates import orientation_sign
 
 
 def test_invert_unit_circle_cases():
-    unit = moebius_from_inversion(Circle(Point(0, 0), 1.0))
+    unit = moebius_from_inversion(Point(0, 0), 1.0)
     assert moebius_apply(unit, Point(2, 0)) == Point(0.5, 0)
     assert moebius_apply(unit, Point(0, 1)) == Point(0, 1)
     assert is_infinite(moebius_apply(unit, Point(0, 0)))
@@ -27,27 +26,25 @@ def test_invert_unit_circle_cases():
 
 
 def test_invert_off_center_circle():
-    c = moebius_from_inversion(Circle(Point(1, 0), 2.0))
+    c = moebius_from_inversion(Point(1, 0), 2.0)
     assert moebius_apply(c, Point(3, 0)) == Point(3, 0)
     assert moebius_apply(c, Point(2, 0)) == Point(5, 0)
 
 
 def test_invert_infinity_to_center():
-    c = moebius_from_inversion(Circle(Point(1, -2), 3.0))
+    c = moebius_from_inversion(Point(1, -2), 3.0)
     assert moebius_apply(c, AT_INFINITY) == Point(1, -2)
 
 
 def test_inversion_involution():
     rng = random.Random(5)
     for _ in range(200):
-        c = Circle(
-            Point(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-            rng.uniform(0.3, 3.0),
-        )
+        center = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        r = rng.uniform(0.3, 3.0)
         p = Point(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        if p == c.center:
+        if p == center:
             continue
-        m = moebius_from_inversion(c)
+        m = moebius_from_inversion(center, r)
         q = moebius_apply(m, moebius_apply(m, p))
         scale = max(1.0, abs(p.x), abs(p.y))
         assert abs(q.x - p.x) <= 1e-12 * scale
@@ -61,7 +58,7 @@ def test_inversion_fixes_circle_points():
         r = rng.uniform(0.3, 3.0)
         t = rng.uniform(0, 2 * math.pi)
         p = Point(center.x + r * math.cos(t), center.y + r * math.sin(t))
-        q = moebius_apply(moebius_from_inversion(Circle(center, r)), p)
+        q = moebius_apply(moebius_from_inversion(center, r), p)
         assert math.hypot(q.x - p.x, q.y - p.y) <= 1e-12 * max(1.0, r)
 
 
@@ -73,7 +70,7 @@ def test_inversion_product_of_distances():
         p = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
         if p == center:
             continue
-        q = moebius_apply(moebius_from_inversion(Circle(center, r)), p)
+        q = moebius_apply(moebius_from_inversion(center, r), p)
         d1 = math.hypot(p.x - center.x, p.y - center.y)
         d2 = math.hypot(q.x - center.x, q.y - center.y)
         assert abs(d1 * d2 - r * r) <= 1e-10 * r * r
@@ -84,32 +81,33 @@ def test_inversion_product_of_distances():
         assert dot > 0
 
 
-def test_circle_validation():
-    with pytest.raises(DegenerateInputError):
-        Circle(Point(0, 0), 0.0)
-    with pytest.raises(DegenerateInputError):
-        Circle(Point(0, 0), -1.0)
-    with pytest.raises(DegenerateInputError):
-        Circle(Point(0, 0), math.inf)
-    with pytest.raises(DegenerateInputError):
-        Circle(Point(math.nan, 0), 1.0)
+def test_moebius_from_inversion_validation():
+    for radius in (0.0, -1.0, math.inf):
+        with pytest.raises(DegenerateInputError, match="circle radius must be finite and positive"):
+            moebius_from_inversion(Point(0, 0), radius)
+    with pytest.raises(DegenerateInputError, match="circle center must be finite"):
+        moebius_from_inversion(Point(math.nan, 0), 1.0)
+    # Text unpacks into characters and a third coordinate has no place.
+    for center in ("ab", (0, 0, 1)):
+        with pytest.raises(DegenerateInputError, match="points must have two coordinates"):
+            moebius_from_inversion(center, 1.0)
 
 
 def test_circumcircle_known_cases():
-    c = circumcircle(Point(0, 0), Point(1, 0), Point(0, 1))
-    assert abs(c.center.x - 0.5) <= 1e-15
-    assert abs(c.center.y - 0.5) <= 1e-15
-    assert abs(c.radius - math.sqrt(2) / 2) <= 1e-15
+    cx, cy, radius = circumcircle(Point(0, 0), Point(1, 0), Point(0, 1))
+    assert abs(cx - 0.5) <= 1e-15
+    assert abs(cy - 0.5) <= 1e-15
+    assert abs(radius - math.sqrt(2) / 2) <= 1e-15
 
-    c = circumcircle(Point(0, 0), Point(1, 1), Point(1, -1))
-    assert abs(c.center.x - 1.0) <= 1e-15
-    assert abs(c.center.y) <= 1e-15
-    assert abs(c.radius - 1.0) <= 1e-15
+    cx, cy, radius = circumcircle(Point(0, 0), Point(1, 1), Point(1, -1))
+    assert abs(cx - 1.0) <= 1e-15
+    assert abs(cy) <= 1e-15
+    assert abs(radius - 1.0) <= 1e-15
 
-    c = circumcircle(Point(1, 0), Point(-1, 0), Point(0, 1))
-    assert abs(c.center.x) <= 1e-15
-    assert abs(c.center.y) <= 1e-15
-    assert abs(c.radius - 1.0) <= 1e-15
+    cx, cy, radius = circumcircle(Point(1, 0), Point(-1, 0), Point(0, 1))
+    assert abs(cx) <= 1e-15
+    assert abs(cy) <= 1e-15
+    assert abs(radius - 1.0) <= 1e-15
 
 
 def test_circumcircle_rejects_collinear():
@@ -129,18 +127,18 @@ def test_circumcircle_residual():
     for _ in range(300):
         pts = [Point(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)]
         try:
-            c = circumcircle(*pts)
+            cx, cy, radius = circumcircle(*pts)
         except DegenerateInputError:
             continue
         for p in pts:
-            d = math.hypot(p.x - c.center.x, p.y - c.center.y)
-            assert abs(d - c.radius) <= 1e-12 * max(1.0, c.radius)
+            d = math.hypot(p.x - cx, p.y - cy)
+            assert abs(d - radius) <= 1e-12 * max(1.0, radius)
 
 
 def test_circumcenter_is_circumcircle_without_the_orientation_test():
-    # The mesh's circumcenters skip the exact orientation test and the
-    # Circle; they must still give circumcircle's centre and radius bit
-    # for bit, on random triples and on cocircular lattice triples.
+    # The mesh's circumcenters skip the exact orientation test; they must
+    # still give circumcircle's centre and radius bit for bit, on random
+    # triples and on cocircular lattice triples.
     rng = random.Random(29)
     triples = [[Point(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)] for _ in range(300)]
     lattice = [Point(float(x), float(y)) for x in range(-3, 4) for y in range(-3, 4)]
@@ -153,9 +151,8 @@ def test_circumcenter_is_circumcircle_without_the_orientation_test():
             continue
         if orientation_sign(p, q, r) < 0:
             q, r = r, q
-        c = circumcircle(p, q, r)
-        assert _circumcenter(p, q, r) == (c.center.x, c.center.y, c.radius)
+        assert _circumcenter(p, q, r) == circumcircle(p, q, r)
         checked += 1
     assert checked > 500
-    assert circumcircle(*triples[-1]).radius == math.hypot(8192.0, 1.0)
+    assert circumcircle(*triples[-1])[2] == math.hypot(8192.0, 1.0)
 

@@ -35,7 +35,7 @@ from lunenn import (
 )
 from lunenn.cli import main
 from lunenn.fileio import GridSpec, evaluate_grid
-from lunenn.geometry import Circle, Point
+from lunenn.geometry import Point
 from lunenn.hull import convex_hull, turning_angles
 from lunenn.interpolate import QueryKind, classify_query
 from lunenn.moebius import moebius_apply, moebius_from_inversion, random_moebius
@@ -66,7 +66,7 @@ def _random_samples(rng, n=20, span=1.0):
 def _random_interior_query(rng, samples):
     while True:
         s = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if classify_query(samples, s).kind is QueryKind.INTERIOR:
+        if classify_query(samples, s) is QueryKind.INTERIOR:
             return s
 
 
@@ -104,39 +104,39 @@ def test_sample_set_diagonal():
 
 
 def test_classify_square_center():
-    assert classify_query(_square(), (0, 0)).kind is QueryKind.INTERIOR
+    assert classify_query(_square(), (0, 0)) is QueryKind.INTERIOR
 
 
 def test_classify_exact_site():
-    cls = classify_query(_square(), (1, 1))
-    assert cls.kind is QueryKind.COINCIDENT
-    assert cls.site_index == 2
+    with pytest.raises(CoincidentQueryError, match="query coincides with site 2") as raised:
+        classify_query(_square(), (1, 1))
+    assert raised.value.site_index == 2
 
 
 def test_classify_edge_midpoint():
-    assert classify_query(_square(), (1, 0)).kind is QueryKind.ON_BOUNDARY
+    assert classify_query(_square(), (1, 0)) is QueryKind.ON_BOUNDARY
 
 
 def test_classify_exterior():
-    assert classify_query(_square(), (5, 5)).kind is QueryKind.EXTERIOR
+    assert classify_query(_square(), (5, 5)) is QueryKind.EXTERIOR
 
 
 def test_classify_snap_radius():
     samples = _square()
     eps = 0.5 * samples.diagonal * 1e-12
-    cls = classify_query(samples, (1 + eps, 1))
-    assert cls.kind is QueryKind.COINCIDENT and cls.site_index == 2
-    cls = classify_query(samples, (1 - 1e-6, 1 - 1e-6))
-    assert cls.kind is QueryKind.INTERIOR
+    with pytest.raises(CoincidentQueryError) as raised:
+        classify_query(samples, (1 + eps, 1))
+    assert raised.value.site_index == 2
+    assert classify_query(samples, (1 - 1e-6, 1 - 1e-6)) is QueryKind.INTERIOR
 
 
 def test_classify_tie_goes_to_lowest_index():
     # Sites 2**-49 apart, well inside the snap radius of each other; the
     # midpoint is exactly as far from both.
     samples = SampleSet([(0, 0), (2.0 ** -49, 0), (1, 5), (1, -5)], [0.0] * 4)
-    cls = classify_query(samples, (2.0 ** -50, 0))
-    assert cls.kind is QueryKind.COINCIDENT
-    assert cls.site_index == 0
+    with pytest.raises(CoincidentQueryError) as raised:
+        classify_query(samples, (2.0 ** -50, 0))
+    assert raised.value.site_index == 0
 
 
 # ------------------------------------------------------------- lune angles
@@ -422,7 +422,7 @@ def test_far_exterior_lune_query_says_why_it_fails():
     # The images collapse onto a line, though the sites are not collinear.
     samples = SampleSet(SQUARE_SITES + [(0.3, 0.1)], SQUARE_Z + [0.0])
     for q in ((1e150, 0.0), (1e300, 0.0)):
-        assert classify_query(samples, q).kind is QueryKind.EXTERIOR
+        assert classify_query(samples, q) is QueryKind.EXTERIOR
         with pytest.raises(DegenerateInputError, match="query lies too far from the sites for the float range"):
             interpolate(samples, q, allow_exterior=True)
     # A query whose framed coordinates overflow stays outside the hull.
@@ -430,7 +430,7 @@ def test_far_exterior_lune_query_says_why_it_fails():
     tiny = [(rng.uniform(-1, 1) * 1e-300, rng.uniform(-1, 1) * 1e-300) for _ in range(30)]
     samples = SampleSet(tiny, [0.0] * 30)
     q = (1e100, -1e300)
-    assert classify_query(samples, q).kind is QueryKind.EXTERIOR
+    assert classify_query(samples, q) is QueryKind.EXTERIOR
     with pytest.raises(OutsideDomainError):
         interpolate(samples, q)
     with pytest.raises(DegenerateInputError, match="query lies too far"):
@@ -586,8 +586,7 @@ def test_continuity_at_samples():
         t = rng.uniform(0, 2 * math.pi)
         eps = 1e-9 * samples.diagonal
         s = (site.x + eps * math.cos(t), site.y + eps * math.sin(t))
-        cls = classify_query(samples, s)
-        if cls.kind is not QueryKind.INTERIOR:
+        if classify_query(samples, s) is not QueryKind.INTERIOR:
             continue
         value = interpolate(samples, s)
         assert abs(value - zs[i]) <= 1e-6 * spread
@@ -713,7 +712,7 @@ def test_extended_neighbors_match_circle_pencil_oracle():
             cand = (rng.randrange(-15, 16) / 8, rng.randrange(-15, 16) / 8)
             if cand in [(p.x, p.y) for p in samples.sites]:
                 continue
-            if classify_query(samples, cand).kind is QueryKind.INTERIOR:
+            if classify_query(samples, cand) is QueryKind.INTERIOR:
                 s = cand
         got = set(lune_angles(samples, s).indices)
         for j in range(samples.size):
@@ -737,8 +736,7 @@ def test_invariance_under_inversion():
         s = _random_interior_query(rng, samples)
         base = interpolate(samples, s)
         angles = dict(lune_angles(samples, s).entries)
-        circle = Circle(Point(rng.uniform(2, 3), rng.uniform(2, 3)), rng.uniform(0.5, 1.5))
-        m = moebius_from_inversion(circle)
+        m = moebius_from_inversion((rng.uniform(2, 3), rng.uniform(2, 3)), rng.uniform(0.5, 1.5))
         mapped_sites = [moebius_apply(m, p) for p in samples.sites]
         mapped = SampleSet(mapped_sites, samples.elevations)
         ms = moebius_apply(m, Point(*s))
@@ -1022,7 +1020,8 @@ def test_lune_angles_match_the_literal_construction(sites, query, seed, eps, k):
         fs = (math.ldexp(s[0], -e), math.ldexp(s[1], -e))
         assert _outcome(lune_angles, samples, s) == _outcome(_lune_angles_literal, framed, fs)
         nearest = sys.modules["lunenn.interpolate"]._snap(samples, fs[0], fs[1], range(samples.size))
-        assert classify_query(samples, s).site_index == nearest
+        outcome = _outcome(classify_query, samples, s)
+        assert outcome == ("CoincidentQueryError", nearest) if nearest is not None else isinstance(outcome, QueryKind)
 
 
 def test_interior_query_hulls_a_small_share_of_the_sites(monkeypatch):
@@ -1267,26 +1266,29 @@ def test_a_meshed_set_classifies_and_interpolates_as_a_fresh_one(allow_exterior)
     kinds, exact = set(), set()
     for s in [*PLACEMENT_QUERIES, PLACEMENT_SITES[4]]:
         fresh = SampleSet(PLACEMENT_SITES, PLACEMENT_Z)
-        cls = classify_query(fresh, s)
-        kinds.add(cls.kind)
+        try:
+            kind, site = classify_query(fresh, s), None
+        except CoincidentQueryError as exc:
+            kind, site = None, exc.site_index
+        kinds.add(kind)
         p = meshed._frame(s)
-        if cls.kind is QueryKind.COINCIDENT:
+        if kind is None:
             exact.add(p in meshed._index)
             with pytest.raises(CoincidentQueryError) as raised:
                 tri._place(p, True)
-            assert raised.value.site_index == cls.site_index, s
+            assert raised.value.site_index == site, s
         else:
-            assert tri._place(p, True)[0] is cls.kind, s
+            assert tri._place(p, True)[0] is kind, s
         assert _interpolated(meshed, s, allow_exterior) == _interpolated(fresh, s, allow_exterior), s
         assert fresh._mesh is None
-        if cls.kind is QueryKind.COINCIDENT:
-            assert sibson_interpolate(tri, PLACEMENT_Z, s) == PLACEMENT_Z[cls.site_index], s
-        elif cls.kind is QueryKind.INTERIOR:
+        if kind is None:
+            assert sibson_interpolate(tri, PLACEMENT_Z, s) == PLACEMENT_Z[site], s
+        elif kind is QueryKind.INTERIOR:
             assert math.isfinite(sibson_interpolate(tri, PLACEMENT_Z, s)), s
         else:
             with pytest.raises(OutsideDomainError):
                 sibson_interpolate(tri, PLACEMENT_Z, s)
-    assert kinds == set(QueryKind)
+    assert kinds == {None, *QueryKind}
     assert exact == {False, True}
 
 

@@ -6,10 +6,9 @@ import random
 
 import pytest
 
-from lunenn.errors import DegenerateInputError, GeneratorExhaustedError
+from lunenn.errors import DegenerateInputError, GeneratorExhaustedError, PreconditionError
 from lunenn.geometry import (
     AT_INFINITY,
-    Circle,
     Point,
     circumcircle,
     is_infinite,
@@ -44,17 +43,14 @@ def test_reciprocal_map():
 def test_inversion_map_matches_invert_point():
     rng = random.Random(3)
     for _ in range(200):
-        circle = Circle(
-            Point(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-            rng.uniform(0.3, 2.5),
-        )
-        m = moebius_from_inversion(circle)
+        cx, cy = center = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        r = rng.uniform(0.3, 2.5)
+        m = moebius_from_inversion(center, r)
         assert m.conjugating
         p = Point(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        if p == circle.center:
+        if p == center:
             continue
         # The inverse of p lies on the ray from c with |cp| * |cp'| = r^2.
-        (cx, cy), r = circle.center, circle.radius
         dx, dy = p.x - cx, p.y - cy
         scale = r * r / (dx * dx + dy * dy)
         expect = Point(cx + scale * dx, cy + scale * dy)
@@ -65,8 +61,7 @@ def test_inversion_map_matches_invert_point():
 
 
 def test_inversion_map_center_and_infinity():
-    circle = Circle(Point(1, 0), 2.0)
-    m = moebius_from_inversion(circle)
+    m = moebius_from_inversion(Point(1, 0), 2.0)
     assert is_infinite(moebius_apply(m, Point(1, 0)))
     back = moebius_apply(m, AT_INFINITY)
     assert math.hypot(back.x - 1.0, back.y - 0.0) <= 1e-15
@@ -75,7 +70,7 @@ def test_inversion_map_center_and_infinity():
 
 
 def test_compose_inversion_with_itself_is_identity_action():
-    m = moebius_from_inversion(Circle(Point(0, 0), 1.0))
+    m = moebius_from_inversion(Point(0, 0), 1.0)
     mm = moebius_compose(m, m)
     assert not mm.conjugating
     p = moebius_apply(mm, Point(2, 0))
@@ -164,14 +159,42 @@ def test_degenerate_coefficients_rejected():
         MoebiusMap(1, float("nan"), 0, 1)
 
 
+_HUGE = MoebiusMap(1e300, 0, 0, 1e-300)
+
+
+_BAD_MOEBIUS_CALLS = {
+    # Points that are no finite pair, and images or poles past the float range.
+    "third-coordinate": (DegenerateInputError, lambda: moebius_apply(IDENTITY, (1, 2, 3))),
+    "nan-point": (DegenerateInputError, lambda: moebius_apply(IDENTITY, (math.nan, 0))),
+    "image-overflow": (DegenerateInputError, lambda: moebius_apply(_HUGE, (1e300, 0))),
+    "infinity-image-overflow": (DegenerateInputError, lambda: moebius_apply(MoebiusMap(1e300, 0, 1e-300, 1), AT_INFINITY)),
+    "pole-overflow": (DegenerateInputError, lambda: moebius_pole(MoebiusMap(1, 0, 1e-300, 1e300))),
+    # The denominator overflows while the image, about 1/2, would not.
+    "denominator-overflow": (DegenerateInputError, lambda: moebius_apply(MoebiusMap(1, 0, 2, 1), (1e308, 0))),
+    "infinite-forbidden": (DegenerateInputError, lambda: random_moebius(0, forbidden=[(0, math.inf)])),
+    # Arguments that are not numbers, points or maps.
+    "text-point": (DegenerateInputError, lambda: moebius_apply(IDENTITY, "ab")),
+    "none-coefficient": (DegenerateInputError, lambda: MoebiusMap(None, 0, 0, 1)),
+    "text-coefficient": (DegenerateInputError, lambda: MoebiusMap("a", 0, 0, 1)),
+    "huge-int-coefficient": (DegenerateInputError, lambda: MoebiusMap(10**400, 0, 0, 1)),
+    "compose-none": (PreconditionError, lambda: moebius_compose(IDENTITY, None)),
+    "apply-none": (PreconditionError, lambda: moebius_apply(None, (0, 0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MOEBIUS_CALLS))
+def test_moebius_entry_points_raise_library_errors(case):
+    error, call = _BAD_MOEBIUS_CALLS[case]
+    with pytest.raises(error):
+        call()
+
+
 def _map_circle(m, circle):
-    # Image of a circle from three mapped points.
+    # Image of a circle (cx, cy, radius) from three mapped points.
+    cx, cy, r = circle
     pts = []
     for t in (0.25, 1.75, 3.5):
-        p = Point(
-            circle.center.x + circle.radius * math.cos(t),
-            circle.center.y + circle.radius * math.sin(t),
-        )
+        p = Point(cx + r * math.cos(t), cy + r * math.sin(t))
         q = moebius_apply(m, p)
         assert not is_infinite(q)
         pts.append(q)
@@ -181,10 +204,10 @@ def _map_circle(m, circle):
 def _angle_at(first, second, p):
     """Angle in [0, pi] at p between the radius vectors of two circles
     through p, as lune_angles_oracle measures it; p must lie on both."""
-    for circle in (first, second):
-        assert abs(math.hypot(p.x - circle.center.x, p.y - circle.center.y) - circle.radius) <= 1e-9 * circle.radius
-    ux, uy = p.x - first.center.x, p.y - first.center.y
-    vx, vy = p.x - second.center.x, p.y - second.center.y
+    for cx, cy, r in (first, second):
+        assert abs(math.hypot(p.x - cx, p.y - cy) - r) <= 1e-9 * r
+    ux, uy = p.x - first[0], p.y - first[1]
+    vx, vy = p.x - second[0], p.y - second[1]
     return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
 
@@ -197,7 +220,7 @@ def test_angles_between_circles_preserved():
         for _ in range(2):
             t = rng.uniform(0, 2 * math.pi)
             r = rng.uniform(0.3, 1.5)
-            circles.append(Circle(Point(p.x + r * math.cos(t), p.y + r * math.sin(t)), r))
+            circles.append((p.x + r * math.cos(t), p.y + r * math.sin(t), r))
         m = _random_map(rng)
         pole = moebius_pole(m)
         if not is_infinite(pole):
@@ -206,8 +229,8 @@ def test_angles_between_circles_preserved():
             if math.hypot(p.x - pole.x, p.y - pole.y) < clear:
                 continue
             if any(
-                abs(math.hypot(c.center.x - pole.x, c.center.y - pole.y) - c.radius) < clear
-                for c in circles
+                abs(math.hypot(cx - pole.x, cy - pole.y) - r) < clear
+                for cx, cy, r in circles
             ):
                 continue
         q = moebius_apply(m, p)
@@ -223,8 +246,8 @@ def test_angles_between_circles_preserved():
             flipped = 0
         else:
             flipped = sum(
-                math.hypot(c.center.x - pole.x, c.center.y - pole.y) < c.radius
-                for c in circles
+                math.hypot(cx - pole.x, cy - pole.y) < r
+                for cx, cy, r in circles
             )
         expected = math.pi - before if flipped == 1 else before
         assert abs(after - expected) <= 1e-9
@@ -234,7 +257,7 @@ def test_angles_between_circles_preserved():
 def test_cocircular_points_stay_cocircular_exact():
     # The images of these cocircular integer points are exactly
     # representable, so the exact predicate must report cocircular.
-    m = moebius_from_inversion(Circle(Point(0, 0), 1.0))
+    m = moebius_from_inversion(Point(0, 0), 1.0)
     images = [
         moebius_apply(m, Point(*p))
         for p in ((2, 0), (0, 2), (-2, 0), (0, -2))
@@ -262,11 +285,11 @@ def test_cocircular_points_stay_cocircular_floating():
         if any(is_infinite(q) for q in images):
             continue
         try:
-            c = circumcircle(*images[:3])
+            cx, cy, radius = circumcircle(*images[:3])
         except DegenerateInputError:
             continue
-        d = math.hypot(images[3].x - c.center.x, images[3].y - c.center.y)
-        assert abs(d - c.radius) <= 1e-9 * max(1.0, c.radius)
+        d = math.hypot(images[3].x - cx, images[3].y - cy)
+        assert abs(d - radius) <= 1e-9 * max(1.0, radius)
         checked += 1
 
 
