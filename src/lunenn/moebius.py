@@ -40,9 +40,10 @@ class MoebiusMap:
             object.__setattr__(self, name, value)
             if not cmath.isfinite(value):
                 raise DegenerateInputError("coefficients must be finite")
+        # inf - inf is NaN: a determinant past the float range can hide a singular matrix.
         det = self.a * self.d - self.b * self.c
-        if abs(det) == 0.0:
-            raise DegenerateInputError("singular coefficient matrix")
+        if not abs(det) > 0.0:
+            raise DegenerateInputError("singular coefficient matrix, or its determinant left the float range")
 
 
 IDENTITY = MoebiusMap(1.0, 0.0, 0.0, 1.0)

@@ -177,6 +177,8 @@ _BAD_MOEBIUS_CALLS = {
     "none-coefficient": (DegenerateInputError, lambda: MoebiusMap(None, 0, 0, 1)),
     "text-coefficient": (DegenerateInputError, lambda: MoebiusMap("a", 0, 0, 1)),
     "huge-int-coefficient": (DegenerateInputError, lambda: MoebiusMap(10**400, 0, 0, 1)),
+    # Singular, though a * d - b * c rounds to inf - inf, a NaN.
+    "nan-determinant": (DegenerateInputError, lambda: MoebiusMap(1e200, 1e200, 1e200, 1e200)),
     "compose-none": (PreconditionError, lambda: moebius_compose(IDENTITY, None)),
     "apply-none": (PreconditionError, lambda: moebius_apply(None, (0, 0))),
 }
