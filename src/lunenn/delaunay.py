@@ -20,8 +20,11 @@ finds the cavity of every insertion and query and emits its boundary in
 CCW order; it raises on a triangle reached twice, so a cavity is always a
 disk with every vertex on its boundary.  A triangle's vertex order is
 fixed when it is created; the fan of an insertion reuses the slots of the
-cavity it replaces, and nothing renumbers the rest.  The public view,
-triangles, is a sorted copy built once after the last insertion.
+cavity it replaces, and nothing renumbers the rest.  The build writes the
+mesh compact, as the queries read it: a vertex tuple per triangle and one
+flat list of neighbours, three slots a triangle, _nbrs[3 * t + e].  The
+public view, triangles, is a sorted copy built once after the last
+insertion.
 
 Virtual insertion computes the cavity and fan a query point would create
 without mutating the mesh, and alone places a mesh query: the walk finds
@@ -59,8 +62,9 @@ def _brio_order(samples: SampleSet) -> list:
     order, row by row, even rows left to right and odd rows right to left."""
     _, cols, _, cells = samples._buckets
     keys = [0] * samples.size
-    for (c, r), sites in cells.items():
-        for i in sites:
+    for k, sites in enumerate(cells):
+        r, c = divmod(k, cols)
+        for i in sites or ():
             keys[i] = r * cols + (c if r % 2 == 0 else cols - 1 - c)
     order = list(range(len(keys)))
     random.Random(_BRIO_SEED).shuffle(order)
@@ -119,9 +123,9 @@ class Triangulation:
     order give the same results.
 
     Triangle t is _verts[t]: CCW site indices, GHOST in slot 2 or else the
-    smallest in slot 0, set at creation by _set_triangle; _nbrs[t][e] lies
-    across edge e (vertex e to e + 1), and each list is replaced whole when
-    its slot is reused.  Every slot holds a live triangle.  The ghosts are
+    smallest in slot 0, set at creation by _set_triangle; _nbrs[3 * t + e]
+    lies across edge e (vertex e to e + 1), in one flat list whose three
+    slots of t are rewritten when t is.  Every slot holds a live triangle.  The ghosts are
     the hull, kept nowhere else: ghost vs is hull edge vs[1] -> vs[0].  The
     public view triangles, built once, lists the finite ones sorted.
     _incident[i] is a finite triangle at site i, where walks start.  _pts
@@ -153,7 +157,7 @@ class Triangulation:
         a, b, c = (i, j, k) if o > 0 else (i, k, j)
         # Triangle ids: 0 finite, 1..3 ghosts for edges ab, bc, ca.
         self._verts = [None] * 4
-        self._nbrs = [None] * 4
+        self._nbrs = [None] * 12
         self._set_triangle(0, a, b, c, 1, 2, 3)
         self._set_triangle(1, b, a, GHOST, 0, 3, 2)
         self._set_triangle(2, c, b, GHOST, 0, 1, 3)
@@ -167,13 +171,14 @@ class Triangulation:
     def _set_triangle(self, t, u, v, w, nu, nv, nw):
         # The one layout: a ghost vertex in slot 2, otherwise the smallest
         # in slot 0.  nu, nv and nw lie across the edges that leave u, v
-        # and w, and rotate with them into one new list.
+        # and w, and rotate with them into _nbrs[3 * t] to _nbrs[3 * t + 2].
         if u == GHOST or (v != GHOST and v < u and v < w):
-            self._verts[t], self._nbrs[t] = (v, w, u), [nv, nw, nu]
+            u, v, w, nu, nv, nw = v, w, u, nv, nw, nu
         elif v == GHOST or (w != GHOST and w < u and w < v):
-            self._verts[t], self._nbrs[t] = (w, u, v), [nw, nu, nv]
-        else:
-            self._verts[t], self._nbrs[t] = (u, v, w), [nu, nv, nw]
+            u, v, w, nu, nv, nw = w, u, v, nw, nu, nv
+        self._verts[t] = (u, v, w)
+        nbrs, o = self._nbrs, 3 * t
+        nbrs[o], nbrs[o + 1], nbrs[o + 2] = nu, nv, nw
 
     def _locate(self, p, t):
         """Walk toward p from the finite triangle t; on a Delaunay
@@ -186,9 +191,8 @@ class Triangulation:
             vs = verts[t]
             if vs[2] == GHOST:
                 return t
-            across = nbrs[t]
             for e in (0, 1, 2):
-                nb = across[e]
+                nb = nbrs[3 * t + e]
                 if nb != came_from and orientation_sign(pts[vs[e]], pts[vs[e - 2]], p) < 0:
                     came_from = t
                     t = nb
@@ -230,12 +234,13 @@ class Triangulation:
                 holds = sign > 0 if sign else _perturbed_in_disk(pts[ia], pts[ib], pts[ic], p, ia, ib, ic, pidx)
             if holds:
                 cavity.add(t)
-                across = nbrs[t]
+                o = 3 * t
                 if inner is None:
-                    stack += ((across[2], t, vs[2], vs[0]), (across[1], t, vs[1], vs[2]), (across[0], t, vs[0], vs[1]))
+                    stack += ((nbrs[o + 2], t, vs[2], vs[0]), (nbrs[o + 1], t, vs[1], vs[2]), (nbrs[o], t, vs[0], vs[1]))
                 else:
-                    b = across.index(inner)
-                    stack += ((across[b - 1], t, vs[b - 1], vs[b]), (across[b - 2], t, vs[b - 2], vs[b - 1]))
+                    b = vs.index(v)
+                    e, f = (b + 2) % 3, (b + 1) % 3
+                    stack += ((nbrs[o + e], t, vs[e], vs[b]), (nbrs[o + f], t, vs[f], vs[e]))
             elif inner is None:
                 raise DegenerateInputError("mesh invariant broken: located triangle does not hold the point")
             else:
@@ -248,24 +253,24 @@ class Triangulation:
         """Insert site idx, walking from triangle start; returns a finite
         triangle of the fan.  _cavity makes the cavity a disk with every
         vertex on its boundary, so the fan has two triangles more: it takes
-        the cavity's slots and two new ones."""
+        the cavity's slots and two new ones, which extend _verts by 2 and
+        _nbrs by 6."""
         verts, nbrs = self._verts, self._nbrs
         p = self._pts[idx]
         cavity, cycle = self._cavity(self._locate(p, start), p, idx)
-        # Every back-link slot is read before any is written: a fan id
-        # written there can equal a cavity id that a later index() seeks.
-        backs = [nbrs[outside].index(inside) for _, _, outside, inside in cycle]
         k, n = len(cycle), len(verts)
         fan = [*cavity, n, n + 1]
         verts += [None, None]
-        nbrs += [None, None]
+        nbrs += [None] * 6
         finite = None
         # Fan triangle j = (u_j, v_j, idx) meets the outside across u_j v_j,
         # fan triangle j+1 across v_j idx and fan triangle j-1 across idx u_j.
         for j, (u, v, outside, _) in enumerate(cycle):
             t = fan[j]
             self._set_triangle(t, u, v, idx, outside, fan[(j + 1) % k], fan[j - 1])
-            nbrs[outside][backs[j]] = t
+            # The fan rewrites no outside triangle, whose edge v -> u leaves
+            # v: its back-link slot is found by its vertices, as in _cavity.
+            nbrs[3 * outside + verts[outside].index(v)] = t
             if finite is None and u != GHOST and v != GHOST:
                 finite = t
         return finite
@@ -296,9 +301,9 @@ class Triangulation:
         strictly beyond, gives (EXTERIOR, None, None) with no cavity built; the
         snap then reads the first ring block, which holds every site within
         the snap radius.  The walk starts at a site in p's cell of
-        SampleSet._buckets clamped onto the grid, else in its four edge
-        neighbours, else on the march to the cell of site 0, first in the
-        map: cols + rows reads at most."""
+        SampleSet._buckets clamped onto the grid, else in those of its four
+        edge neighbours inside the grid, else on the march to site 0's cell:
+        4 + max(cols, rows) reads at most."""
         i = self._samples._index.get(p)
         if i is None:
             x0, y0, _, _ = self._samples._box
@@ -306,13 +311,16 @@ class Triangulation:
             # Clamped in float: floor() of a quotient near 2**1000 overflows.
             c = math.floor(min(max((p[0] - x0) / size, 0.0), cols - 1.0))
             r = math.floor(min(max((p[1] - y0) / size, 0.0), rows - 1.0))
-            near = (cells.get((c, r)) or cells.get((c - 1, r)) or cells.get((c + 1, r))
-                    or cells.get((c, r - 1)) or cells.get((c, r + 1)))
+            k = r * cols + c
+            near = (cells[k] or c > 0 and cells[k - 1] or c + 1 < cols and cells[k + 1]
+                    or r > 0 and cells[k - cols] or r + 1 < rows and cells[k + cols])
             if not near:
-                tc, tr = next(iter(cells))
+                # Site 0's cell holds a site, so the march ends at a site.
+                x, y = self._pts[0]
+                tc, tr = math.floor((x - x0) / size), math.floor((y - y0) / size)
                 n = max(abs(tc - c), abs(tr - r))
-                march = ((c + round(k * (tc - c) / n), r + round(k * (tr - r) / n)) for k in range(1, n + 1))
-                near = next(filter(None, map(cells.get, march)))
+                march = ((r + round(j * (tr - r) / n)) * cols + c + round(j * (tc - c) / n) for j in range(1, n + 1))
+                near = next(filter(None, map(cells.__getitem__, march)))
             t = self._locate(p, self._incident[near[0]])
             if strict and self._verts[t][2] == GHOST:
                 cavity = cycle = None
@@ -382,7 +390,7 @@ class Triangulation:
                 x, y = cx, cy
                 if t == last:
                     break
-                t = nbrs[t][verts[t].index(vj) - 1]
+                t = nbrs[3 * t + (verts[t].index(vj) + 2) % 3]
             else:
                 raise DegenerateInputError("mesh invariant broken: stolen-area walk did not close")
             total += x * y0 - x0 * y
@@ -416,7 +424,7 @@ class Triangulation:
                 rays[slot] = Point(ey / norm, -ex / norm)
             else:
                 ring.append(vs)
-            t = self._nbrs[t][(slot + 2) % 3]
+            t = self._nbrs[3 * t + (slot + 2) % 3]
             if t == start:
                 break
         if rays:

@@ -61,7 +61,7 @@ def load_samples_csv(path) -> SampleSet:
                     line_number,
                 )
             seen[key] = line_number
-            sites.append((values[0], values[1]))
+            sites.append(key)
             if header == _REAL_HEADER:
                 elevations.append(values[2])
             else:

@@ -67,7 +67,9 @@ def _finite(value, message) -> float:
 
 
 def _finite_point(p, message) -> tuple:
-    """p as an (x, y) pair of finite floats: x is checked before y converts."""
+    """p as an (x, y) pair of finite floats: x is checked before y converts.
+    A plain tuple of two finite floats is p itself, so a SampleSet keeps the
+    caller's pairs; any other point becomes a new plain tuple."""
     try:
         # A tuple, the usual point, skips the slower isinstance test for text.
         if type(p) is not tuple and isinstance(p, _TEXT):
@@ -75,7 +77,9 @@ def _finite_point(p, message) -> tuple:
         x, y = p
     except (TypeError, ValueError):
         raise DegenerateInputError("points must have two coordinates, not %r" % (p,)) from None
-    return _finite(x, message), _finite(y, message)
+    # _finite returns a finite float itself; anything else comes back a new float.
+    fx, fy = _finite(x, message), _finite(y, message)
+    return p if fx is x and fy is y and type(p) is tuple else (fx, fy)
 
 
 def _elevation(z):
@@ -88,7 +92,8 @@ def _elevation(z):
 class SampleSet:
     """Pairwise-distinct sample sites, not all collinear, with one real or
     complex elevation per site, fixed when made; the bucket grid, the hull
-    and the mesh the set grows lazily, each on first use."""
+    and the mesh the set grows lazily, each on first use.  A site given as
+    a plain tuple of two finite floats is kept as that tuple, not copied."""
 
     def __init__(self, sites, elevations):
         try:
@@ -159,16 +164,24 @@ class SampleSet:
 
     @cached_property
     def _buckets(self):
-        """(cell size, columns, rows, {(column, row): site indices}) of a
-        grid over the framed bounding box with about two sites per cell: the
-        set's one spatial index.  The lune rings read it, and so do the
-        mesh's insertion order and walk starts: Sibson-only sets build it too."""
+        """(cell size, columns, rows, cells) of a grid over the framed
+        bounding box with about two sites per cell: the set's one spatial
+        index.  cells[row * columns + column] lists the site indices in that
+        cell, or is None if it holds none; the size is at least sqrt(2wh/n)
+        and max(w, h)/n, so there are at most 2.5n + 1 cells.  The lune rings
+        read it, and so do the mesh's insertion order and walk starts:
+        Sibson-only sets build it too."""
         x0, y0, w, h = self._box
         size = max(math.sqrt(2.0 * w * h / len(self._unit)), max(w, h) / len(self._unit))
-        cells = {}
+        cols, rows = math.floor(w / size) + 1, math.floor(h / size) + 1
+        cells = [None] * (cols * rows)
         for i, (x, y) in enumerate(self._unit):
-            cells.setdefault((math.floor((x - x0) / size), math.floor((y - y0) / size)), []).append(i)
-        return size, math.floor(w / size) + 1, math.floor(h / size) + 1, cells
+            k = math.floor((y - y0) / size) * cols + math.floor((x - x0) / size)
+            if cells[k] is None:
+                cells[k] = [i]
+            else:
+                cells[k].append(i)
+        return size, cols, rows, cells
 
 
 class WeightFunction(Enum):
@@ -264,7 +277,7 @@ def _rings(samples: SampleSet, p: tuple):
     while True:
         new = [i for cc in range(max(c - k, 0), min(c + k, cols - 1) + 1)
                for rr in range(max(r - k, 0), min(r + k, rows - 1) + 1)
-               if max(abs(cc - c), abs(rr - r)) > done for i in cells.get((cc, rr), ())]
+               if max(abs(cc - c), abs(rr - r)) > done for i in cells[rr * cols + cc] or ()]
         met += len(new)
         # The slack is far above the rounding in a site's cell or a gap.
         reach = min(u - (c - k) * size, (c + k + 1) * size - u, v - (r - k) * size, (r + k + 1) * size - v)
