@@ -11,6 +11,7 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -514,6 +515,28 @@ def test_queries_do_not_mutate():
     for i in range(samples.size):
         voronoi_cell_polygon(tri, i)
     assert (tri.triangles, tri._nbrs) == before
+
+
+def test_a_set_and_its_mesh_are_stored_compact():
+    # Three neighbour slots a triangle in one flat list, the caller's site
+    # pairs kept and a bucket grid in one list: on 5000 uniform sites
+    # tracemalloc counts 480 B a site for the set and its mesh (Python
+    # 3.11), where a 3-list per triangle, copied pairs and a grid keyed by
+    # (column, row) tuples took 689 B.  The bound lies midway.
+    rng = random.Random(251)
+    sites = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5000)]
+    elevations = [0.0] * len(sites)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        samples = SampleSet(sites, elevations)
+        tri = build_delaunay(samples)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tri._nbrs) == 3 * len(tri._verts)
+    assert all(type(t) is int for t in tri._nbrs)
+    assert used / len(sites) < 585
 
 
 def _outcome(call):

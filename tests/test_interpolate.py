@@ -306,6 +306,23 @@ def test_int_too_large_for_a_float_is_a_domain_error():
         SampleSet([(0, 0), (1, 0), (0, 1)], [0.0, -huge, 0.0])
 
 
+def test_a_set_keeps_the_callers_float_pairs_and_converts_the_rest():
+    sites = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (0.25, 0.5)]
+    samples = SampleSet(sites, SQUARE_Z + [25.0])
+    assert all(samples._sites[i] is sites[i] for i in range(len(sites)))
+    assert samples._unit is samples._sites
+
+    class Real(float):
+        pass
+
+    for given in (Point(0.25, 0.5), [0.25, 0.5], (0, 1), (Real(0.25), Real(0.5))):
+        kept = SampleSet(sites[:4] + [given], SQUARE_Z + [25.0])._sites[4]
+        assert type(kept) is tuple and [type(t) for t in kept] == [float, float]
+        assert kept == (float(given[0]), float(given[1]))
+    with pytest.raises(DegenerateInputError, match="site coordinates must be finite"):
+        SampleSet(sites[:4] + [(math.nan, 0.5)], SQUARE_Z + [25.0])
+
+
 #: Each entry point fed a point that is text or does not unpack into two coordinates,
 #: or a coordinate, an elevation or a grid extent that is text or that float() rejects.
 _MALFORMED_CALLS = {
