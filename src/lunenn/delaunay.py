@@ -125,9 +125,10 @@ class Triangulation:
     Triangle t is _verts[t]: CCW site indices, GHOST in slot 2 or else the
     smallest in slot 0, set at creation by _set_triangle; _nbrs[3 * t + e]
     lies across edge e (vertex e to e + 1), in one flat list whose three
-    slots of t are rewritten when t is.  Every slot holds a live triangle.  The ghosts are
-    the hull, kept nowhere else: ghost vs is hull edge vs[1] -> vs[0].  The
-    public view triangles, built once, lists the finite ones sorted.
+    slots of t are rewritten when t is.  Every slot holds a live triangle.
+    The ghosts are the hull, kept nowhere else: ghost vs is hull edge
+    vs[1] -> vs[0].  The public view triangles, built once, lists the
+    finite ones sorted.
     _incident[i] is a finite triangle at site i, where walks start.  _pts
     is the set's framed (x, y) pairs, read in place."""
 
