@@ -20,11 +20,11 @@ finds the cavity of every insertion and query and emits its boundary in
 CCW order; it raises on a triangle reached twice, so a cavity is always a
 disk with every vertex on its boundary.  A triangle's vertex order is
 fixed when it is created; the fan of an insertion reuses the slots of the
-cavity it replaces, and nothing renumbers the rest.  The build writes the
-mesh compact, as the queries read it: a vertex tuple per triangle and one
-flat list of neighbours, three slots a triangle, _nbrs[3 * t + e].  The
-public view, triangles, is a sorted copy built once after the last
-insertion.
+cavity it replaces, each fan triangle written straight into its slots in
+the one layout, and nothing renumbers the rest.  The build writes the mesh
+compact, as the queries read it: a vertex tuple per triangle and one flat
+list of neighbours, three slots a triangle, _nbrs[3 * t + e].  The public
+view, triangles, is a sorted copy built once after the last insertion.
 
 Virtual insertion computes the cavity and fan a query point would create
 without mutating the mesh, and alone places a mesh query: the walk finds
@@ -61,11 +61,14 @@ def _brio_order(samples: SampleSet) -> list:
     half, each round sorted by the site's cell of samples._buckets in snake
     order, row by row, even rows left to right and odd rows right to left."""
     _, cols, _, cells = samples._buckets
+    snake = []
+    for lo in range(0, len(cells), 2 * cols):
+        snake += cells[lo:lo + cols]
+        snake += cells[lo + cols:lo + 2 * cols][::-1]
     keys = [0] * samples.size
-    for k, sites in enumerate(cells):
-        r, c = divmod(k, cols)
+    for k, sites in enumerate(snake):
         for i in sites or ():
-            keys[i] = r * cols + (c if r % 2 == 0 else cols - 1 - c)
+            keys[i] = k
     order = list(range(len(keys)))
     random.Random(_BRIO_SEED).shuffle(order)
     # Round k from the end is order[n >> (k + 1) : n >> k].
@@ -123,7 +126,7 @@ class Triangulation:
     order give the same results.
 
     Triangle t is _verts[t]: CCW site indices, GHOST in slot 2 or else the
-    smallest in slot 0, set at creation by _set_triangle; _nbrs[3 * t + e]
+    smallest in slot 0, written so by _build and _insert; _nbrs[3 * t + e]
     lies across edge e (vertex e to e + 1), in one flat list whose three
     slots of t are rewritten when t is.  Every slot holds a live triangle.
     The ghosts are the hull, kept nowhere else: ghost vs is hull edge
@@ -156,50 +159,38 @@ class Triangulation:
             if o != 0:
                 break
         a, b, c = (i, j, k) if o > 0 else (i, k, j)
-        # Triangle ids: 0 finite, 1..3 ghosts for edges ab, bc, ca.
-        self._verts = [None] * 4
-        self._nbrs = [None] * 12
-        self._set_triangle(0, a, b, c, 1, 2, 3)
-        self._set_triangle(1, b, a, GHOST, 0, 3, 2)
-        self._set_triangle(2, c, b, GHOST, 0, 1, 3)
-        self._set_triangle(3, a, c, GHOST, 0, 2, 1)
+        # Triangle ids: 0 finite, 1..3 ghosts for edges ab, bc, ca; triangle
+        # 0 and its neighbours rotate to put its smallest index first.
+        r = (a, b, c).index(min(a, b, c))
+        self._verts = [((a, b, c) * 2)[r:r + 3], (b, a, GHOST), (c, b, GHOST), (a, c, GHOST)]
+        self._nbrs = [*((1, 2, 3) * 2)[r:r + 3], 0, 3, 2, 0, 1, 3, 0, 2, 1]
         # Each walk starts from the fan of the insertion before it.
         t = 0
         for idx in order[2:]:
             if idx != k:
                 t = self._insert(idx, t)
 
-    def _set_triangle(self, t, u, v, w, nu, nv, nw):
-        # The one layout: a ghost vertex in slot 2, otherwise the smallest
-        # in slot 0.  nu, nv and nw lie across the edges that leave u, v
-        # and w, and rotate with them into _nbrs[3 * t] to _nbrs[3 * t + 2].
-        if u == GHOST or (v != GHOST and v < u and v < w):
-            u, v, w, nu, nv, nw = v, w, u, nv, nw, nu
-        elif v == GHOST or (w != GHOST and w < u and w < v):
-            u, v, w, nu, nv, nw = w, u, v, nw, nu, nv
-        self._verts[t] = (u, v, w)
-        nbrs, o = self._nbrs, 3 * t
-        nbrs[o], nbrs[o + 1], nbrs[o + 2] = nu, nv, nw
-
     def _locate(self, p, t):
         """Walk toward p from the finite triangle t; on a Delaunay
         triangulation the walk terminates (Devillers, Pion & Teillaud 2002).
         Returns a finite triangle whose closed interior holds p, or a ghost
-        once the walk leaves the hull.  orientation_sign decides each step."""
+        once the walk leaves the hull.  orientation_sign decides each step,
+        over edges 0, 1 and 2 in turn, skipping the edge the walk came in by."""
         verts, nbrs, pts = self._verts, self._nbrs, self._pts
         came_from = -1
         for _ in range(4 * len(verts) + 16):
-            vs = verts[t]
-            if vs[2] == GHOST:
+            a, b, c = verts[t]
+            if c == GHOST:
                 return t
-            for e in (0, 1, 2):
-                nb = nbrs[3 * t + e]
-                if nb != came_from and orientation_sign(pts[vs[e]], pts[vs[e - 2]], p) < 0:
-                    came_from = t
-                    t = nb
-                    break
-            else:
-                return t
+            o = 3 * t
+            nb = nbrs[o]
+            if nb == came_from or orientation_sign(pts[a], pts[b], p) >= 0:
+                nb = nbrs[o + 1]
+                if nb == came_from or orientation_sign(pts[b], pts[c], p) >= 0:
+                    nb = nbrs[o + 2]
+                    if nb == came_from or orientation_sign(pts[c], pts[a], p) >= 0:
+                        return t
+            came_from, t = t, nb
         raise DegenerateInputError("mesh invariant broken: point location did not terminate")
 
     def _cavity(self, seed, p, pidx):
@@ -208,54 +199,63 @@ class Triangulation:
         edge of the inside one, in CCW order with each v the next u.  A
         ghost's disk is the open outer halfplane of its hull edge plus the
         open edge; a finite triangle's is decided by incircle_sign_unchecked,
-        and only an exact 0 by the symbolic perturbation.  One depth-first
-        tour over edges: the seed pushes its edges 2, 1, 0, and a cavity
-        triangle entered across its edge b pushes b + 2, then b + 1, so the
-        boundary edges pop in CCW order.  A cavity is a disk with every
-        vertex on its boundary, its triangles a tree across shared edges:
-        one reached twice, or a cycle vertex met twice, raises."""
+        and only an exact 0 by the symbolic perturbation.  The seed is
+        tested first, then one depth-first tour over edges: the seed pushes
+        its edges 2, 1, 0, and a cavity triangle entered across its edge b
+        pushes b + 2, then b + 1, so the boundary edges pop in CCW order.  A
+        cavity is a disk with every vertex on its boundary, its triangles a
+        tree across shared edges: one reached twice, or a cycle vertex met
+        twice, raises."""
         verts, nbrs, pts = self._verts, self._nbrs, self._pts
-        cavity, cycle = set(), []
-        # Entries (t, inner, u, v): t reached across edge u -> v of inner.
         # p is no vertex, so a finite seed holds p strictly inside its
         # circumdisk and a ghost seed strictly beyond its hull edge.
-        stack = [(seed, None, None, None)]
+        a, b, c = verts[seed]
+        if c == GHOST:
+            side = orientation_sign(pts[b], pts[a], p)
+            holds = side < 0 or side == 0 and _strictly_between(pts[b], pts[a], p)
+        else:
+            sign = incircle_sign_unchecked(pts[a], pts[b], pts[c], p)
+            holds = sign > 0 if sign else _perturbed_in_disk(pts[a], pts[b], pts[c], p, a, b, c, pidx)
+        if not holds:
+            raise DegenerateInputError("mesh invariant broken: located triangle does not hold the point")
+        cavity, cycle = {seed}, []
+        o = 3 * seed
+        # Entries (t, inner, u, v): t reached across edge u -> v of inner.
+        stack = [(nbrs[o + 2], seed, c, a), (nbrs[o + 1], seed, b, c), (nbrs[o], seed, a, b)]
         while stack:
             t, inner, u, v = stack.pop()
             if t in cavity:
                 raise DegenerateInputError("mesh invariant broken: cavity is not a disk")
-            vs = verts[t]
-            if vs[2] == GHOST:
-                a, b = pts[vs[1]], pts[vs[0]]
-                side = orientation_sign(a, b, p)
-                holds = side < 0 or side == 0 and _strictly_between(a, b, p)
+            a, b, c = verts[t]
+            if c == GHOST:
+                side = orientation_sign(pts[b], pts[a], p)
+                holds = side < 0 or side == 0 and _strictly_between(pts[b], pts[a], p)
             else:
-                ia, ib, ic = vs
-                sign = incircle_sign_unchecked(pts[ia], pts[ib], pts[ic], p)
-                holds = sign > 0 if sign else _perturbed_in_disk(pts[ia], pts[ib], pts[ic], p, ia, ib, ic, pidx)
-            if holds:
-                cavity.add(t)
-                o = 3 * t
-                if inner is None:
-                    stack += ((nbrs[o + 2], t, vs[2], vs[0]), (nbrs[o + 1], t, vs[1], vs[2]), (nbrs[o], t, vs[0], vs[1]))
-                else:
-                    b = vs.index(v)
-                    e, f = (b + 2) % 3, (b + 1) % 3
-                    stack += ((nbrs[o + e], t, vs[e], vs[b]), (nbrs[o + f], t, vs[f], vs[e]))
-            elif inner is None:
-                raise DegenerateInputError("mesh invariant broken: located triangle does not hold the point")
-            else:
+                sign = incircle_sign_unchecked(pts[a], pts[b], pts[c], p)
+                holds = sign > 0 if sign else _perturbed_in_disk(pts[a], pts[b], pts[c], p, a, b, c, pidx)
+            if not holds:
                 cycle.append((u, v, t, inner))
+                continue
+            cavity.add(t)
+            # t shares edge v -> u with inner and pushes its other two edges.
+            o = 3 * t
+            if v == a:
+                stack += ((nbrs[o + 2], t, c, a), (nbrs[o + 1], t, b, c))
+            elif v == b:
+                stack += ((nbrs[o], t, a, b), (nbrs[o + 2], t, c, a))
+            else:
+                stack += ((nbrs[o + 1], t, b, c), (nbrs[o], t, a, b))
         if len({u for u, _, _, _ in cycle}) != len(cycle):
             raise DegenerateInputError("mesh invariant broken: cavity boundary is not a simple cycle")
         return cavity, cycle
 
     def _insert(self, idx, start) -> int:
-        """Insert site idx, walking from triangle start; returns a finite
-        triangle of the fan.  _cavity makes the cavity a disk with every
-        vertex on its boundary, so the fan has two triangles more: it takes
-        the cavity's slots and two new ones, which extend _verts by 2 and
-        _nbrs by 6."""
+        """Insert site idx, walking from triangle start; returns the first
+        finite triangle of the fan.  _cavity makes the cavity a disk with
+        every vertex on its boundary, so the fan has two triangles more: it
+        takes the cavity's slots and two new ones, which extend _verts by 2
+        and _nbrs by 6.  Each fan triangle is written in place, already in
+        the one layout."""
         verts, nbrs = self._verts, self._nbrs
         p = self._pts[idx]
         cavity, cycle = self._cavity(self._locate(p, start), p, idx)
@@ -263,18 +263,31 @@ class Triangulation:
         fan = [*cavity, n, n + 1]
         verts += [None, None]
         nbrs += [None] * 6
-        finite = None
         # Fan triangle j = (u_j, v_j, idx) meets the outside across u_j v_j,
         # fan triangle j+1 across v_j idx and fan triangle j-1 across idx u_j.
+        prev = fan[-1]
         for j, (u, v, outside, _) in enumerate(cycle):
-            t = fan[j]
-            self._set_triangle(t, u, v, idx, outside, fan[(j + 1) % k], fan[j - 1])
-            # The fan rewrites no outside triangle, whose edge v -> u leaves
-            # v: its back-link slot is found by its vertices, as in _cavity.
+            t, nxt = fan[j], fan[j + 1 - k]
+            o = 3 * t
+            # The one layout, idx being no ghost: idx first after a ghost v
+            # or when smallest, v first after a ghost u or when smallest.
+            if v == GHOST or idx < u and idx < v:
+                verts[t] = (idx, u, v)
+                nbrs[o], nbrs[o + 1], nbrs[o + 2] = prev, outside, nxt
+            elif u == GHOST or v < u:
+                verts[t] = (v, idx, u)
+                nbrs[o], nbrs[o + 1], nbrs[o + 2] = nxt, prev, outside
+            else:
+                verts[t] = (u, v, idx)
+                nbrs[o], nbrs[o + 1], nbrs[o + 2] = outside, nxt, prev
+            # The fan rewrites no outside triangle: its back-link slot is
+            # that of its edge v -> u, which leaves v.
             nbrs[3 * outside + verts[outside].index(v)] = t
-            if finite is None and u != GHOST and v != GHOST:
-                finite = t
-        return finite
+            prev = t
+        # GHOST is on the cycle once at most, so the first finite edge is
+        # edge 0, or edge 1 after (GHOST, v), or edge 2 after (u, GHOST).
+        u, v, _, _ = cycle[0]
+        return fan[2 if v == GHOST else 1 if u == GHOST else 0]
 
     def _finalize(self):
         # Eager on purpose: views built on first read made Sibson queries slower.
@@ -409,8 +422,8 @@ class Triangulation:
         """Voronoi cell of a site: circumcenters of its incident triangles
         in CCW order when bounded, otherwise the outward directions of the
         two unbounded boundary rays.  A vertex past the float range raises
-        DegenerateInputError."""
-        if not isinstance(site_index, int) or not 0 <= site_index < len(self._pts):
+        DegenerateInputError.  A bool is no site index."""
+        if not isinstance(site_index, int) or isinstance(site_index, bool) or not 0 <= site_index < len(self._pts):
             raise PreconditionError("site index must be an int in range(%d)" % len(self._pts))
         t = start = self._incident[site_index]
         ring, rays = [], {}

@@ -97,6 +97,13 @@ def _check_structure(samples, tri):
                 triangles[other][back],
                 triangles[other][(back + 1) % 3],
             }
+    # The one layout, ghosts included: GHOST only in slot 2, otherwise the
+    # smallest index in slot 0.  Every neighbour slot holds a live id.
+    for vs in tri._verts:
+        assert GHOST not in vs[:2]
+        assert vs[2] == GHOST or vs[0] == min(vs)
+    assert len(tri._nbrs) == 3 * len(tri._verts)
+    assert all(type(nb) is int and 0 <= nb < len(tri._verts) for nb in tri._nbrs)
     # The kernel's own adjacency says the same; across a hull edge lies a ghost.
     position = {vs: i for i, vs in enumerate(triangles)}
     for t, vs in enumerate(tri._verts):
@@ -1030,7 +1037,7 @@ def test_voronoi_rays_of_hull_edges_longer_than_the_float_range():
 
 def test_voronoi_rejects_bad_site_index():
     tri = build_delaunay(_square())
-    for bad in (1.5, "4", -1, 4, None):
+    for bad in (1.5, "4", -1, 4, None, True, False):
         with pytest.raises(PreconditionError, match="site index"):
             voronoi_cell_polygon(tri, bad)
 
@@ -1142,6 +1149,38 @@ def test_broken_incircle_raises_a_library_error(monkeypatch, lie):
                     except _LIBRARY_ERRORS:
                         continue
                     assert lie != "positive" or not interior_site
+
+
+def test_each_mesh_check_still_fires(monkeypatch):
+    # Each invariant check of the walk and the cavity tour is reached by a
+    # fixed liar, on the build and on Sibson queries: a check that a rewrite
+    # of the kernel made unreachable, or that raises another error, shows
+    # here.  Every query raises a library error or answers, and each set
+    # reaches the message at least once.
+    cases = [
+        ("orientation_sign", lambda p, q, r: 1, "located triangle does not hold the point", True),
+        ("incircle_sign_unchecked", lambda p, q, r, t: -1, "located triangle does not hold the point", True),
+        ("incircle_sign_unchecked", lambda p, q, r, t: 1, "cavity is not a disk", True),
+        ("orientation_sign", lambda p, q, r: -1, "point location did not terminate", False),
+    ]
+    rng = random.Random(331)
+    for _ in range(4):
+        samples = _random_samples(rng, n=30)
+        tri = build_delaunay(samples)
+        queries = [_random_interior_query(rng, samples) for _ in range(6)]
+        for name, liar, message, on_build in cases:
+            with monkeypatch.context() as patch:
+                patch.setattr(delaunay, name, liar)
+                if on_build:
+                    with pytest.raises(DegenerateInputError, match=message):
+                        build_delaunay(samples)
+                reached = 0
+                for q in queries:
+                    try:
+                        sibson_interpolate(tri, samples.elevations, q)
+                    except _LIBRARY_ERRORS as exc:
+                        reached += message in str(exc)
+                assert reached, (name, message)
 
 
 # ------------------------------------------------------ pinned mesh views
