@@ -141,8 +141,11 @@ def _run(args):
         for (i, theta), (_, w) in zip(angles.entries, weights.entries):
             print("%d,%.17g,%.17g" % (i, theta, w))
     else:
-        rows = evaluate_grid(samples, GridSpec(*args.grid), method=args.method, weight_fn=weight_fn)
-        write_pgm(rows, args.out)
+        grid = GridSpec(*args.grid)
+        # write_pgm would refuse the rows: refuse them before the node loop.
+        if any(isinstance(z, complex) for z in samples.elevations):
+            raise DegenerateInputError("complex values cannot be rasterized")
+        write_pgm(evaluate_grid(samples, grid, method=args.method, weight_fn=weight_fn), args.out)
     return 0
 
 

@@ -187,6 +187,22 @@ def test_grid_methods_share_center_pixel(square, tmp_path, capsys):
         assert values[20] == 0 and values[0] == 255
 
 
+@pytest.mark.parametrize("window", ["-1,1,-1,1,64,64", "2,3,2,3,4,4"], ids=["inside", "past-the-hull"])
+def test_grid_refuses_complex_elevations_before_the_node_loop(window, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "z.csv"
+    path.write_text("x,y,z_re,z_im\n-1,-1,10,1\n1,-1,20,2\n1,1,30,3\n-1,1,40,4\n", encoding="utf-8")
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("evaluate_grid called")
+
+    monkeypatch.setattr(sys.modules["lunenn.cli"], "evaluate_grid", no_grid)
+    out = tmp_path / "z.pgm"
+    # Every node of the second window lies past the hull: its cells would all be blank.
+    assert main(["grid", "--samples", str(path), "--grid", window, "--out", str(out)]) == 2
+    assert "complex values cannot be rasterized" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_deterministic(square, tmp_path, capsys):
     outputs = []
     for name in ("one.pgm", "two.pgm"):

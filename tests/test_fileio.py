@@ -1,7 +1,12 @@
 """CSV ingestion, grid evaluation, and PGM output."""
 
+import marshal
 import math
+import os
+import random
 import sys
+import threading
+import types
 
 import pytest
 
@@ -9,12 +14,14 @@ from lunenn import (
     CoincidentQueryError,
     CsvFormatError,
     DegenerateInputError,
+    PreconditionError,
     SampleSet,
     Triangulation,
     build_delaunay,
     interpolate,
     sibson_interpolate,
 )
+from lunenn import fileio
 from lunenn.fileio import GridSpec, evaluate_grid, load_samples_csv, write_pgm
 from lunenn.interpolate import QueryKind, classify_query
 
@@ -166,30 +173,32 @@ def test_evaluate_grid_methods_agree_at_center():
 
 @pytest.mark.parametrize("method", ["moebius", "sibson"])
 def test_evaluate_grid_exterior_cells_match_hull_test(method):
-    # The centre site sits on a grid node.
+    # The centre site sits on a grid node.  The 33x33 grid is large enough
+    # for its rows to be split over processes.
     samples = SampleSet(
         [(-1, -1), (1, -1), (1, 1), (-1, 1), (0.0, 0.0)], [10.0, 20.0, 30.0, 40.0, 7.0]
     )
-    spec = GridSpec(-2, 2, -2, 2, 9, 9)
-    rows = evaluate_grid(samples, spec, method=method)
     tri = build_delaunay(samples)
-    xs = spec.xs()
-    ys = list(reversed(spec.ys()))
-    for r, y in enumerate(ys):
-        for c, x in enumerate(xs):
-            try:
-                kind = classify_query(samples, (x, y))
-            except CoincidentQueryError as exc:
-                assert rows[r][c] == samples.elevations[exc.site_index]
-                continue
-            if kind in (QueryKind.EXTERIOR, QueryKind.ON_BOUNDARY):
-                assert rows[r][c] is None
-            elif method == "moebius":
-                assert rows[r][c].hex() == interpolate(samples, (x, y)).hex()
-            else:
-                expected = sibson_interpolate(tri, samples.elevations, (x, y))
-                assert rows[r][c].hex() == expected.hex()
-    assert rows[4][4] == 7.0
+    for n in (9, 33):
+        spec = GridSpec(-2, 2, -2, 2, n, n)
+        rows = evaluate_grid(samples, spec, method=method)
+        xs = spec.xs()
+        ys = list(reversed(spec.ys()))
+        for r, y in enumerate(ys):
+            for c, x in enumerate(xs):
+                try:
+                    kind = classify_query(samples, (x, y))
+                except CoincidentQueryError as exc:
+                    assert rows[r][c] == samples.elevations[exc.site_index]
+                    continue
+                if kind in (QueryKind.EXTERIOR, QueryKind.ON_BOUNDARY):
+                    assert rows[r][c] is None
+                elif method == "moebius":
+                    assert rows[r][c].hex() == interpolate(samples, (x, y)).hex()
+                else:
+                    expected = sibson_interpolate(tri, samples.elevations, (x, y))
+                    assert rows[r][c].hex() == expected.hex()
+        assert rows[n // 2][n // 2] == 7.0
 
 
 def test_evaluate_grid_sibson_places_cells_with_the_triangulation(monkeypatch):
@@ -222,6 +231,156 @@ def test_evaluate_grid_sibson_places_each_cell_once(monkeypatch):
     monkeypatch.setattr(Triangulation, "_virtual_cavity", counted)
     evaluate_grid(samples, spec, method="sibson")
     assert len(calls) == spec.nx * spec.ny
+
+
+def _bits(rows):
+    """Every cell as the hex of its float parts, None kept."""
+    return [
+        [None if v is None else (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex() for v in row]
+        for row in rows
+    ]
+
+
+def _uniform_sites(seed, n):
+    rng = random.Random(seed)
+    return [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+
+
+# Each case makes a fresh set, so that neither run inherits a lazy hull or
+# mesh from the other.
+_SPLIT_CASES = {
+    # The shifted 40x40 integer lattice: cocircular by fours, exact predicates.
+    "lattice-sibson": (
+        lambda: SampleSet(
+            [(x, y) for x in range(-217, -177) for y in range(311, 351)],
+            [0.5 * x - 1.25 * y + 3.0 for x in range(-217, -177) for y in range(311, 351)],
+        ),
+        GridSpec(-216.4, -178.6, 311.6, 349.4, 28, 28),
+        "sibson",
+    ),
+    # A window 10% past the box of uniform sites: the cells past the hull are blank.
+    "past-the-hull": (
+        lambda: SampleSet(_uniform_sites(1, 200), [x * x - y for x, y in _uniform_sites(1, 200)]),
+        GridSpec(-1.1, 1.1, -1.1, 1.1, 28, 28),
+        "sibson",
+    ),
+    # Every node is a site, the hull corners and edges included.
+    "nodes-are-sites": (
+        lambda: SampleSet([(x, y) for x in range(28) for y in range(28)], [3 * x - 2 * y + 7.0 for x in range(28) for y in range(28)]),
+        GridSpec(0, 27, 0, 27, 28, 28),
+        "moebius",
+    ),
+    "complex": (
+        lambda: SampleSet(_uniform_sites(2, 60), [complex(x, y * y) for x, y in _uniform_sites(2, 60)]),
+        GridSpec(-0.95, 0.95, -0.95, 0.95, 28, 28),
+        "moebius",
+    ),
+    # A fresh set with its lazy mesh unbuilt: the top rows near the hull
+    # build it partway through the grid, in each process on its own.
+    "moebius-lazy-mesh": (
+        lambda: SampleSet(_uniform_sites(3, 100), [math.sin(3 * x) + y for x, y in _uniform_sites(3, 100)]),
+        GridSpec(-0.99, 0.99, -0.99, 0.99, 28, 28),
+        "moebius",
+    ),
+}
+
+
+_AFFINITY = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="rows are split where the CPU mask is known")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """os.fork, counted in the calling process."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@_AFFINITY
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_split_rows_equal_the_rows_of_one_process(case, monkeypatch, forks):
+    make, spec, method = _SPLIT_CASES[case]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    samples = make()
+    serial = evaluate_grid(samples, spec, method=method)
+    assert forks == []
+    if case == "moebius-lazy-mesh":
+        assert samples._mesh is not None
+    # Three CPUs, whatever the machine has: 784 nodes make three blocks, two forked.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    split = evaluate_grid(make(), spec, method=method)
+    assert len(forks) == 2
+    assert _bits(split) == _bits(serial)
+    if case == "past-the-hull":
+        assert any(v is None for row in serial for v in row)
+
+
+def _split_size_grid():
+    # 576 nodes: two blocks under a two-CPU mask.
+    return GridSpec(-1, 1, -1, 1, 24, 24)
+
+
+@_AFFINITY
+def test_evaluate_grid_leaves_no_child_process(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    evaluate_grid(_square_samples(), _split_size_grid())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(PreconditionError):
+        evaluate_grid(_square_samples(), _split_size_grid(), weight_fn="bogus")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 2
+
+
+def _dumps_raises(rows):
+    raise ValueError("unmarshallable object")
+
+
+@_AFFINITY
+@pytest.mark.parametrize(
+    "dumps",
+    [_dumps_raises, lambda rows: b"", lambda rows: b"\xff"],
+    ids=["child-exits-1", "empty-payload", "bad-payload"],
+)
+def test_a_failed_child_block_is_evaluated_in_process(dumps, monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = evaluate_grid(_square_samples(), _split_size_grid())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(fileio, "marshal", types.SimpleNamespace(dumps=dumps, loads=marshal.loads))
+    assert _bits(evaluate_grid(_square_samples(), _split_size_grid())) == _bits(serial)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+@pytest.mark.parametrize("reason", ["small-grid", "one-cpu", "second-thread"])
+def test_evaluate_grid_stays_in_process(reason, monkeypatch):
+    spec = GridSpec(-1, 1, -1, 1, 9, 9) if reason == "small-grid" else _split_size_grid()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if reason == "one-cpu" else {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if reason == "second-thread":
+        thread.start()
+    try:
+        rows = evaluate_grid(_square_samples(), spec)
+    finally:
+        stop.set()
+        if reason == "second-thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(rows) == spec.ny
 
 
 @pytest.mark.parametrize("method", ["moebius", "sibson"])
