@@ -5,7 +5,6 @@ from __future__ import annotations
 import marshal
 import math
 import os
-import signal
 import sys
 from dataclasses import dataclass
 
@@ -183,9 +182,14 @@ def evaluate_grid(
         for pipe in pipes:
             pipe.close()
         for pid in pids:
-            if payloads is None:
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
+            try:
+                if payloads is None:
+                    import signal  # here, not at start-up: only this error path needs it
+                    os.kill(pid, signal.SIGKILL)
+                statuses.append(os.waitpid(pid, 0)[1])
+            except (ProcessLookupError, ChildProcessError):
+                # Reaped already, as where SIGCHLD is ignored: the payload tells.
+                statuses.append(0)
     for lo, hi, payload, status in zip(bounds[1:], bounds[2:], payloads, statuses):
         try:
             block = marshal.loads(payload) if status == 0 else None

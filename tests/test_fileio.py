@@ -4,6 +4,7 @@ import marshal
 import math
 import os
 import random
+import signal
 import sys
 import threading
 import types
@@ -337,6 +338,21 @@ def test_evaluate_grid_leaves_no_child_process(monkeypatch, forks):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert len(forks) == 2
+
+
+@_AFFINITY
+def test_split_rows_where_the_kernel_reaps_the_children(monkeypatch, forks):
+    # With SIGCHLD ignored, each child is reaped as it exits and waitpid finds none.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = evaluate_grid(_square_samples(), _split_size_grid())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        split = evaluate_grid(_square_samples(), _split_size_grid())
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert _bits(split) == _bits(serial)
+    assert len(forks) == 1
 
 
 def _dumps_raises(rows):
