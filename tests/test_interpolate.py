@@ -959,6 +959,29 @@ def test_lune_outputs_digest():
     assert digest.hexdigest() == LUNE_OUTPUTS_DIGEST
 
 
+SIBSON_OUTPUTS_DIGEST = "aa1eca0b7827498087e39bec807566579aa886eb2d1aeffbab72389ff6a9fb16"
+
+
+def test_sibson_outputs_digest():
+    # sibson_weights, sibson_interpolate and lune_angles_oracle, as float
+    # hex, pinned bit for bit on the lune digest's sets and queries:
+    # interior queries, queries past the hull (refused), queries near a
+    # site (some snap) and a sibson grid reaching 25% past the hull.
+    digest = hashlib.sha256()
+    rng = random.Random(419)
+    for samples in _lune_digest_corpus():
+        tri = build_delaunay(samples)
+        queries = list(_lune_digest_queries(rng, samples))
+        for q in queries[:-1]:
+            _digest_call(digest, lambda: sibson_weights(tri, q))
+            _digest_call(digest, lambda: sibson_interpolate(tri, samples.elevations, q))
+            _digest_call(digest, lambda: lune_angles_oracle(tri, q))
+        (x0, y0), (x1, y1) = queries[-1]
+        for row in evaluate_grid(samples, GridSpec(x0, x1, y0, y1, 9, 9), method="sibson"):
+            digest.update(" ".join("-" if v is None else v.hex() for v in row).encode() + b";")
+    assert digest.hexdigest() == SIBSON_OUTPUTS_DIGEST
+
+
 # ------------------------------------------------- the pruned neighbour search
 
 
