@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CoincidentQueryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point, _circumcenter
@@ -106,8 +105,7 @@ def _strictly_between(a, b, p) -> bool:
     return lo < p[1] < hi
 
 
-@dataclass(frozen=True)
-class VoronoiCell:
+class VoronoiCell(NamedTuple):
     """Voronoi cell of a site: a bounded CCW polygon of circumcenters, or
     an unbounded marker carrying the directions of its two boundary rays."""
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import contextlib
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CoincidentQueryError, OutsideDomainError, PreconditionError
 from .geometry import Point, is_infinite
@@ -38,8 +38,7 @@ INVARIANCE_TOLERANCE = 1e-8
 HARMONIC_FINAL_TOLERANCE = 1e-3
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     name: str
     columns: tuple
     rows: tuple

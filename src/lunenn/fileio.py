@@ -6,7 +6,7 @@ import marshal
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .delaunay import build_delaunay
 from .errors import CsvFormatError, DegenerateBoundaryError, DegenerateInputError, OutsideDomainError
@@ -80,22 +80,19 @@ def load_samples_csv(path) -> SampleSet:
     return SampleSet(sites, elevations)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    nx: int
-    ny: int
+class GridSpec(NamedTuple("GridSpec", [("x_min", float), ("x_max", float), ("y_min", float), ("y_max", float), ("nx", int), ("ny", int)])):
+    """Extents and node counts of a grid, checked when it is made."""
 
-    def __post_init__(self):
-        for v in (self.x_min, self.x_max, self.y_min, self.y_max):
+    __slots__ = ()
+
+    def __new__(cls, x_min, x_max, y_min, y_max, nx, ny):
+        for v in (x_min, x_max, y_min, y_max):
             _finite(v, "grid extents must be finite")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+        if not (x_min < x_max and y_min < y_max):
             raise DegenerateInputError("grid extents must be non-empty")
-        if not all(isinstance(n, int) and n >= 2 for n in (self.nx, self.ny)):
+        if not all(isinstance(n, int) and n >= 2 for n in (nx, ny)):
             raise DegenerateInputError("grid node counts must be ints of at least 2")
+        return super().__new__(cls, x_min, x_max, y_min, y_max, nx, ny)
 
     def xs(self):
         return _nodes(self.x_min, self.x_max, self.nx)

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CoincidentQueryError, DegenerateBoundaryError, DegenerateInputError, OutsideDomainError, PreconditionError
 from .geometry import Point
@@ -216,8 +215,7 @@ class QueryKind(Enum):
     EXTERIOR = "exterior"
 
 
-@dataclass(frozen=True)
-class LuneAngleSet:
+class LuneAngleSet(NamedTuple):
     """(site index, lune angle) pairs sorted by index; angles lie in
     (0, pi] and sum to 2*pi."""
 
@@ -235,8 +233,7 @@ class LuneAngleSet:
         return math.fsum(a for _, a in self.entries)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(NamedTuple):
     """(site index, weight) pairs sorted by index; weights are
     non-negative and sum to one."""
 

@@ -11,24 +11,22 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateInputError, GeneratorExhaustedError, PreconditionError
 from .geometry import AT_INFINITY, ExtendedPoint, Point, is_infinite
 from .interpolate import _TEXT, _finite, _finite_point
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    conjugating: bool = False
+class MoebiusMap(NamedTuple("MoebiusMap", [("a", complex), ("b", complex), ("c", complex), ("d", complex), ("conjugating", bool)])):
+    """z -> (a z + b) / (c z + d), of z's conjugate if conjugating; the
+    coefficients are kept as complex numbers, checked when the map is made."""
 
-    def __post_init__(self):
-        for name in "abcd":
-            value = getattr(self, name)
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d, conjugating=False):
+        coefficients = []
+        for value in (a, b, c, d):
             try:
                 if isinstance(value, _TEXT):
                     raise TypeError
@@ -37,13 +35,14 @@ class MoebiusMap:
                 value = complex(math.inf)
             except (TypeError, ValueError):
                 raise DegenerateInputError("coefficients must be numbers, not %r" % (value,)) from None
-            object.__setattr__(self, name, value)
             if not cmath.isfinite(value):
                 raise DegenerateInputError("coefficients must be finite")
+            coefficients.append(value)
+        a, b, c, d = coefficients
         # inf - inf is NaN: a determinant past the float range can hide a singular matrix.
-        det = self.a * self.d - self.b * self.c
-        if not abs(det) > 0.0:
+        if not abs(a * d - b * c) > 0.0:
             raise DegenerateInputError("singular coefficient matrix, or its determinant left the float range")
+        return super().__new__(cls, a, b, c, d, conjugating)
 
 
 IDENTITY = MoebiusMap(1.0, 0.0, 0.0, 1.0)

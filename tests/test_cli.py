@@ -473,6 +473,46 @@ def test_a_lune_process_runs_no_mesh_experiment_or_moebius_code():
     assert "lunenn.cli" in added and not {"lunenn.experiments", "lunenn.moebius"} & set(added)
 
 
+def test_the_command_line_imports_no_dataclasses_or_inspect():
+    # The records are named tuples: dataclasses, which loads inspect (and
+    # with it ast, dis and tokenize), costs every lunenn process about
+    # 11 ms and 0.9 MB.
+    added = _modules_added_by("import lunenn.cli")
+    assert "lunenn.delaunay" in added
+    assert not {"dataclasses", "inspect"} & set(added)
+
+
+def test_the_records_keep_their_fields_checks_equality_and_immutability():
+    # Each record is made, shown, compared and hashed by its fields, and
+    # none can be assigned to.
+    from lunenn.delaunay import VoronoiCell
+    from lunenn.experiments import ExperimentReport
+    from lunenn.fileio import GridSpec
+    from lunenn.interpolate import LuneAngleSet, WeightVector
+    from lunenn.moebius import MoebiusMap
+
+    records = [
+        (LuneAngleSet, (((0, 1.0),),), "LuneAngleSet(entries=((0, 1.0),))"),
+        (WeightVector, (((0, 1.0),),), "WeightVector(entries=((0, 1.0),))"),
+        (VoronoiCell, (3, None, ((1.0, 0.0), (0.0, 1.0))), "VoronoiCell(site_index=3, vertices=None, ray_directions=((1.0, 0.0), (0.0, 1.0)))"),
+        (GridSpec, (0, 1.5, -1, 1, 2, 3), "GridSpec(x_min=0, x_max=1.5, y_min=-1, y_max=1, nx=2, ny=3)"),
+        (MoebiusMap, (1, 0, 0, 1), "MoebiusMap(a=(1+0j), b=0j, c=0j, d=(1+0j), conjugating=False)"),
+        (ExperimentReport, ("x", ("a",), ((1,),), True), "ExperimentReport(name='x', columns=('a',), rows=((1,),), passed=True)"),
+    ]
+    for cls, args, text in records:
+        record = cls(*args)
+        assert repr(record) == text
+        assert record == cls(*args) and hash(record) == hash(cls(*args))
+        field = text[len(cls.__name__) + 1:].partition("=")[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert MoebiusMap(1, 0, 0, 1, conjugating=True).conjugating is True
+    assert GridSpec(x_min=0, x_max=1, y_min=0, y_max=1, nx=2, ny=2).nx == 2
+    for bad in ((0, 0, 0, 1, 2, 2), (0, 1, 0, 1, 1, 2), (0, math.inf, 0, 1, 2, 2), (0, 1, 0, 1, 2.0, 2)):
+        with pytest.raises(lunenn.DegenerateInputError):
+            GridSpec(*bad)
+
+
 def test_a_rebinding_walk_over_the_modules_puts_every_name_back():
     # Code that wraps a function wherever lunenn binds it, as a tracer or a
     # mock does, walks the modules in sys.modules order; vars() runs the mesh
