@@ -304,18 +304,20 @@ class Triangulation:
     # -- virtual insertion -------------------------------------------
 
     def _place(self, p, snap: bool, strict: bool = False):
-        """(kind, cavity, cycle) of the framed point p.  A site p is, or if
-        snap the one _snap finds over the cycle, raises CoincidentQueryError.
-        A ghost in the cavity puts p on the hull if its edge passes through
-        p, else outside it: classify_query's outcome unless rounding ties or
-        reorders the squared distances of sites almost equally far from p.
-        If strict, a walk that ends at a ghost, across a hull edge that p is
-        strictly beyond, gives (EXTERIOR, None, None) with no cavity built; the
-        snap then reads the first ring block, which holds every site within
-        the snap radius.  The walk starts at a site in p's cell of
-        SampleSet._buckets clamped onto the grid, else in those of its four
-        edge neighbours inside the grid, else on the march to site 0's cell:
-        4 + max(cols, rows) reads at most."""
+        """(kind, cavity, cycle, sites) of the framed point p, sites the
+        cycle's sites in its CCW order, GHOST left out, as a tuple.  A site p
+        is, or if snap the one _snap finds over the sites, raises
+        CoincidentQueryError.  A ghost in the cavity puts p on the hull if
+        its edge passes through p, else outside it: classify_query's outcome
+        unless rounding ties or reorders the squared distances of sites
+        almost equally far from p.  If strict, a walk that ends at a ghost,
+        across a hull edge that p is strictly beyond, gives (EXTERIOR, None,
+        None, None) with no cavity built; the snap then reads the first ring
+        block, which holds every site within the snap radius.  The walk
+        starts at a site in p's cell of SampleSet._buckets clamped onto the
+        grid, else in those of its four edge neighbours inside the grid,
+        else on the march to site 0's cell: 4 + max(cols, rows) reads at
+        most."""
         i = self._samples._index.get(p)
         if i is None:
             x0, y0, _, _ = self._samples._box
@@ -335,49 +337,54 @@ class Triangulation:
                 near = next(filter(None, map(cells.__getitem__, march)))
             t = self._locate(p, self._incident[near[0]])
             if strict and self._verts[t][2] == GHOST:
-                cavity = cycle = None
+                cavity = cycle = sites = None
                 candidates = next(_rings(self._samples, p))[0]
             else:
                 cavity, cycle = self._cavity(t, p, len(self._pts))
                 # Every site nearest to p borders the cavity: the circle on
                 # diameter p-q holds no other site.
-                candidates = (u for u, _, _, _ in cycle if u != GHOST)
+                candidates = sites = tuple([u for u, _, _, _ in cycle if u != GHOST])
             if snap:
                 i = _snap(self._samples, *p, candidates)
         if i is not None:
             raise CoincidentQueryError("query coincides with site %d" % i, i)
         if cavity is None:
-            return QueryKind.EXTERIOR, None, None
+            return QueryKind.EXTERIOR, None, None, None
+        # GHOST is on the cycle exactly when a ghost is in the cavity, every
+        # cavity vertex being on the cycle.
+        if len(sites) == len(cycle):
+            return QueryKind.INTERIOR, cavity, cycle, sites
         ghosts = [self._verts[t] for t in cavity if self._verts[t][2] == GHOST]
-        if not ghosts:
-            return QueryKind.INTERIOR, cavity, cycle
         on = any(orientation_sign(self._pts[v], self._pts[u], p) == 0 for u, v, _ in ghosts)
-        return QueryKind.ON_BOUNDARY if on else QueryKind.EXTERIOR, cavity, cycle
+        return QueryKind.ON_BOUNDARY if on else QueryKind.EXTERIOR, cavity, cycle, sites
 
     def _virtual_cavity(self, s):
-        """(cavity, cycle, rel, fan) of the virtual insertion of s, about the
-        framed query p: rel[u] is site u minus p for each cycle site, every
-        cavity vertex among them; fan[j] is the circle (cx, cy, radius) of u_j,
-        v_j and p anchored at p, as a site anchor cancels near the other site.
-        A query _place snaps to a site raises CoincidentQueryError, one on or
-        outside the site hull OutsideDomainError, one past it before its
-        cavity is built."""
+        """(cavity, cycle, sites, rel, fan) of the virtual insertion of s,
+        about the framed query p: sites are the cycle's, as _place gives
+        them, every cavity vertex among them; rel[u] is site u minus p; fan[j]
+        is the circle (cx, cy, radius) of u_j, v_j and p anchored at p, as a
+        site anchor cancels near the other site.  A query _place snaps to a
+        site raises CoincidentQueryError, one on or outside the site hull
+        OutsideDomainError, one past it before its cavity is built."""
         px, py = p = self._samples._frame(s)
-        kind, cavity, cycle = self._place(p, True, True)
+        kind, cavity, cycle, sites = self._place(p, True, True)
         if kind is not QueryKind.INTERIOR:
             raise OutsideDomainError("query lies on or outside the site hull")
-        rel = {u: (x - px, y - py) for u, _, _, _ in cycle for x, y in (self._pts[u],)}
+        pts, rel = self._pts, {}
+        for u in sites:
+            x, y = pts[u]
+            rel[u] = (x - px, y - py)
         fan = [_circumcenter((0.0, 0.0), rel[u], rel[v]) for u, v, _, _ in cycle]
-        return cavity, cycle, rel, fan
+        return cavity, cycle, sites, rel, fan
 
     def lune_angles_oracle(self, s) -> LuneAngleSet:
         """Lune angles by virtual insertion: for each neighbor, the angle
         at s between the circumcircles of the two fan triangles flanking
         the new edge.  The mesh is left untouched."""
-        _, cycle, _, fan = self._virtual_cavity(s)
+        _, _, sites, _, fan = self._virtual_cavity(s)
         # Site u_j's angle is between fan circles j - 1 and j, at p.
         entries = [(u, math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
-                   for (u, _, _, _), (ux, uy, _), (vx, vy, _) in zip(cycle, fan[-1:] + fan, fan)]
+                   for u, (ux, uy, _), (vx, vy, _) in zip(sites, fan[-1:] + fan, fan)]
         if not all(math.isfinite(theta) for _, theta in entries):
             raise DegenerateInputError("lune angles left the float range")
         return LuneAngleSet(tuple(sorted(entries)))
@@ -385,35 +392,40 @@ class Triangulation:
     def sibson_weights(self, s) -> WeightVector:
         """Sibson's natural neighbor weights: the fraction of the virtual
         cell of s that each neighbor's Voronoi cell loses to it."""
-        cavity, cycle, rel, fan = self._virtual_cavity(s)
+        cavity, cycle, sites, rel, fan = self._virtual_cavity(s)
         verts, nbrs = self._verts, self._nbrs
-        old = {t: _circumcenter(rel[a], rel[b], rel[c]) for t in cavity for a, b, c in (verts[t],)}
-        areas = []
-        for j, (vj, _, _, t) in enumerate(cycle):
-            # The shoelace of fan centers j - 1 and j, then the old ones
-            # clockwise around vj, from the inside of edge j to that of edge
-            # j - 1, which ends at vj: _cavity's disk holds the walk.
-            (x0, y0, _), (x, y, _) = fan[j - 1], fan[j]
+        old = {}
+        for t in cavity:
+            a, b, c = verts[t]
+            old[t] = _circumcenter(rel[a], rel[b], rel[c])
+        areas, steps = [], len(cavity)
+        # The shoelace of fan centers j - 1 and j, then the old ones
+        # clockwise around u_j, from the inside of edge j to that of edge
+        # j - 1, which ends at u_j: _cavity's disk holds the walk.
+        (x0, y0, _), last = fan[-1], cycle[-1][3]
+        for (u, _, _, t), (x1, y1, _) in zip(cycle, fan):
+            inside, x, y = t, x1, y1
             total = x0 * y - x * y0
-            last = cycle[j - 1][3]
-            for _ in range(len(cavity)):
+            for _ in range(steps):
                 cx, cy, _ = old[t]
                 total += x * cy - cx * y
                 x, y = cx, cy
                 if t == last:
                     break
-                t = nbrs[3 * t + (verts[t].index(vj) + 2) % 3]
+                t = nbrs[3 * t + (verts[t].index(u) + 2) % 3]
             else:
                 raise DegenerateInputError("mesh invariant broken: stolen-area walk did not close")
             total += x * y0 - x0 * y
             if not math.isfinite(total):
                 raise DegenerateInputError("stolen areas left the float range")
             areas.append(max(0.0, 0.5 * total))
+            x0, y0, last = x1, y1, inside
         try:
             total = math.fsum(areas)
-            entries = sorted((cycle[j][0], areas[j] / total) for j in range(len(cycle)))
+            entries = [(u, area / total) for u, area in zip(sites, areas)]
         except (OverflowError, ZeroDivisionError):
             raise DegenerateInputError("stolen areas left the float range") from None
+        entries.sort()
         return WeightVector(tuple(entries))
 
     def voronoi_cell_polygon(self, site_index: int) -> VoronoiCell:

@@ -254,8 +254,9 @@ def _snap(samples: SampleSet, sx: float, sy: float, candidates) -> Optional[int]
     sites = samples._unit
     best = best_d2 = None
     for i in candidates:
-        dx = sites[i][0] - sx
-        dy = sites[i][1] - sy
+        x, y = sites[i]
+        dx = x - sx
+        dy = y - sy
         d2 = dx * dx + dy * dy
         if best_d2 is None or d2 < best_d2 or (d2 == best_d2 and i < best):
             best, best_d2 = i, d2
@@ -316,14 +317,13 @@ def _candidates(samples: SampleSet, p: tuple, allow_exterior: Optional[bool] = N
             yield from rings
         from .delaunay import build_delaunay
         samples._mesh = build_delaunay(samples)
-    kind, _, cycle = samples._mesh._place(p, snap, allow_exterior is False)
+    kind, _, _, sites = samples._mesh._place(p, snap, allow_exterior is False)
     if refusing:
         _refuse(kind, allow_exterior)
     # A lune neighbour q has a circle through p and q with every other site
     # outside, and q neighbours p in the mesh, or inside, and p lies on or
     # outside the hull.
-    sites = [u for u, _, _, _ in cycle if u >= 0]
-    yield tuple(sites) if kind is QueryKind.INTERIOR else set(sites).union(samples.hull), None
+    yield sites if kind is QueryKind.INTERIOR else set(sites).union(samples.hull), None
 
 
 def classify_query(samples: SampleSet, s) -> QueryKind:
@@ -477,10 +477,18 @@ def sibson_interpolate(tri, elevations, s):
     if isinstance(elevations, _TEXT) or not hasattr(elevations, "__len__") or len(elevations) != tri.samples.size:
         raise DegenerateInputError("elevations must be a sequence of one per site")
     try:
-        value = _blend([(w, _elevation(elevations[i])) for i, w in tri.sibson_weights(s).entries])
+        pairs, blend = [], _mean
+        for i, w in tri.sibson_weights(s).entries:
+            # A finite float, the usual elevation, is taken as it is: x - x
+            # is NaN for an infinite or NaN x.  Floats alone blend as _mean.
+            z = elevations[i]
+            if type(z) is not float or z - z != 0.0:
+                z, blend = _elevation(z), _blend
+            pairs.append((w, z))
+        value = blend(pairs)
     except CoincidentQueryError as exc:
         value = elevations[exc.site_index]
-    return _elevation(value)
+    return value if type(value) is float and value - value == 0.0 else _elevation(value)
 
 
 def _blend(pairs):

@@ -248,7 +248,7 @@ def test_interior_mesh_queries_match_hulling_their_cavity_cycle(monkeypatch):
             for q in _queries(rng, sites):
                 p = samples._frame(q)
                 try:
-                    where, _, cycle = samples._mesh._place(p, False)
+                    where, _, cycle, _ = samples._mesh._place(p, False)
                 except errors.CoincidentQueryError:
                     continue
                 if where is not QueryKind.INTERIOR:

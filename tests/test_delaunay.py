@@ -1153,10 +1153,11 @@ def test_broken_incircle_raises_a_library_error(monkeypatch, lie):
 
 def test_each_mesh_check_still_fires(monkeypatch):
     # Each invariant check of the walk and the cavity tour is reached by a
-    # fixed liar, on the build and on Sibson queries: a check that a rewrite
-    # of the kernel made unreachable, or that raises another error, shows
-    # here.  Every query raises a library error or answers, and each set
-    # reaches the message at least once.
+    # fixed liar, on the build, on Sibson queries and on lune queries on a
+    # set that holds its mesh: a check that a rewrite of the kernel made
+    # unreachable, or that raises another error, shows here.  Every query
+    # raises a library error or answers, and each set reaches the message
+    # at least once with each kind of query.
     cases = [
         ("orientation_sign", lambda p, q, r: 1, "located triangle does not hold the point", True),
         ("incircle_sign_unchecked", lambda p, q, r, t: -1, "located triangle does not hold the point", True),
@@ -1166,7 +1167,7 @@ def test_each_mesh_check_still_fires(monkeypatch):
     rng = random.Random(331)
     for _ in range(4):
         samples = _random_samples(rng, n=30)
-        tri = build_delaunay(samples)
+        tri = samples._mesh = build_delaunay(samples)
         queries = [_random_interior_query(rng, samples) for _ in range(6)]
         for name, liar, message, on_build in cases:
             with monkeypatch.context() as patch:
@@ -1174,13 +1175,17 @@ def test_each_mesh_check_still_fires(monkeypatch):
                 if on_build:
                     with pytest.raises(DegenerateInputError, match=message):
                         build_delaunay(samples)
-                reached = 0
-                for q in queries:
-                    try:
-                        sibson_interpolate(tri, samples.elevations, q)
-                    except _LIBRARY_ERRORS as exc:
-                        reached += message in str(exc)
-                assert reached, (name, message)
+                for kind, query in (
+                    ("sibson", lambda q: sibson_interpolate(tri, samples.elevations, q)),
+                    ("lune", lambda q: interpolate(samples, q)),
+                ):
+                    reached = 0
+                    for q in queries:
+                        try:
+                            query(q)
+                        except _LIBRARY_ERRORS as exc:
+                            reached += message in str(exc)
+                    assert reached, (kind, name, message)
 
 
 # ------------------------------------------------------ pinned mesh views

@@ -1192,7 +1192,7 @@ def test_a_cycle_image_on_a_hull_edge_is_hulled_away(monkeypatch):
     sites = [(0, 5), (2, 1), (-2, 1), (0, -3), (3, -2), (-3, -2)]
     samples = SampleSet(sites, [0.0] * len(sites))
     samples._mesh = build_delaunay(samples)
-    _, _, cycle = samples._mesh._place((0.0, 0.0), False)
+    _, _, cycle, _ = samples._mesh._place((0.0, 0.0), False)
     assert 0 in {u for u, _, _, _ in cycle}
     module = sys.modules["lunenn.interpolate"]
     hulled = []
