@@ -94,6 +94,11 @@ class GridSpec(NamedTuple("GridSpec", [("x_min", float), ("x_max", float), ("y_m
             raise DegenerateInputError("grid node counts must be ints of at least 2")
         return super().__new__(cls, x_min, x_max, y_min, y_max, nx, ny)
 
+    @classmethod
+    def _make(cls, fields):
+        # _replace makes its copy here: it is checked too.
+        return cls(*fields)
+
     def xs(self):
         return _nodes(self.x_min, self.x_max, self.nx)
 

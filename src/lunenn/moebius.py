@@ -44,6 +44,11 @@ class MoebiusMap(NamedTuple("MoebiusMap", [("a", complex), ("b", complex), ("c",
             raise DegenerateInputError("singular coefficient matrix, or its determinant left the float range")
         return super().__new__(cls, a, b, c, d, conjugating)
 
+    @classmethod
+    def _make(cls, fields):
+        # _replace makes its copy here: it is checked too.
+        return cls(*fields)
+
 
 IDENTITY = MoebiusMap(1.0, 0.0, 0.0, 1.0)
 

@@ -511,6 +511,13 @@ def test_the_records_keep_their_fields_checks_equality_and_immutability():
     for bad in ((0, 0, 0, 1, 2, 2), (0, 1, 0, 1, 1, 2), (0, math.inf, 0, 1, 2, 2), (0, 1, 0, 1, 2.0, 2)):
         with pytest.raises(lunenn.DegenerateInputError):
             GridSpec(*bad)
+    # A copy with one field replaced is checked as a new record is.
+    assert GridSpec(0, 1, 0, 1, 2, 2)._replace(nx=5).nx == 5
+    assert MoebiusMap(1, 0, 0, 1)._replace(b=2).b == 2 + 0j
+    with pytest.raises(lunenn.DegenerateInputError):
+        GridSpec(0, 1, 0, 1, 2, 2)._replace(nx=1)
+    with pytest.raises(lunenn.DegenerateInputError):
+        MoebiusMap(1, 0, 0, 1)._replace(a=0)
 
 
 def test_a_rebinding_walk_over_the_modules_puts_every_name_back():
