@@ -80,7 +80,8 @@ def load_samples_csv(path) -> SampleSet:
     return SampleSet(sites, elevations)
 
 
-class GridSpec(NamedTuple("GridSpec", [("x_min", float), ("x_max", float), ("y_min", float), ("y_max", float), ("nx", int), ("ny", int)])):
+class GridSpec(NamedTuple("GridSpec", [("x_min", float), ("x_max", float), ("y_min", float),
+                                       ("y_max", float), ("nx", int), ("ny", int)])):
     """Extents and node counts of a grid, checked when it is made."""
 
     __slots__ = ()

@@ -18,7 +18,8 @@ from .geometry import AT_INFINITY, ExtendedPoint, Point, is_infinite
 from .interpolate import _TEXT, _finite, _finite_point
 
 
-class MoebiusMap(NamedTuple("MoebiusMap", [("a", complex), ("b", complex), ("c", complex), ("d", complex), ("conjugating", bool)])):
+class MoebiusMap(NamedTuple("MoebiusMap", [("a", complex), ("b", complex), ("c", complex), ("d", complex),
+                                           ("conjugating", bool)])):
     """z -> (a z + b) / (c z + d), of z's conjugate if conjugating; the
     coefficients are kept as complex numbers, checked when the map is made."""
 
